@@ -1,6 +1,6 @@
 // Performance microbenchmarks for the pipeline's hot components:
 // water-filling, the fluid simulator, caliper matching, the exact
-// binomial test, and plan-catalog generation.
+// binomial test, plan-catalog generation, and choice-model calibration.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -11,6 +11,7 @@
 #include "core/rng.h"
 #include "core/thread_pool.h"
 #include "market/catalog.h"
+#include "market/choice.h"
 #include "measurement/pipeline.h"
 #include "netsim/fluid.h"
 #include "netsim/workload.h"
@@ -300,6 +301,21 @@ void BM_CatalogGeneration(benchmark::State& state) {
                           static_cast<std::int64_t>(world.size()));
 }
 BENCHMARK(BM_CatalogGeneration);
+
+// One market's willingness-to-pay calibration over 256 probe households,
+// as StudyGenerator::build_markets runs it per country.
+void BM_ChoiceCalibration(benchmark::State& state) {
+  const auto& country = market::World::builtin().at("US");
+  Rng rng{5};
+  const auto catalog = market::PlanCatalog::generate(country, rng);
+  std::vector<market::Household> probes;
+  for (int i = 0; i < 256; ++i) probes.push_back(market::sample_household(country, rng));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(market::ChoiceModel::calibrated(country, catalog, probes));
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(probes.size()));
+}
+BENCHMARK(BM_ChoiceCalibration);
 
 }  // namespace
 

@@ -213,7 +213,10 @@ std::map<std::string, MarketSnapshot> StudyGenerator::build_markets(Rng& rng) co
     std::vector<Household> probes;
     probes.reserve(256);
     for (int i = 0; i < 256; ++i) probes.push_back(sample_household(country, market_rng));
-    snap.choice = market::ChoiceModel::calibrated(country, snap.catalog, probes);
+    {
+      OBS_SPAN("market.calibrate", country.code);
+      snap.choice = market::ChoiceModel::calibrated(country, snap.catalog, probes);
+    }
 
     snap.access_price = snap.catalog.access_price().value_or(country.access_price);
     const auto fit = snap.catalog.price_capacity_fit();

@@ -10,32 +10,72 @@
 
 namespace bblab::market {
 
+namespace {
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+// The utility formula, split at the willingness-to-pay multiplier so
+// ChoiceBatch can hoist everything that does not depend on it. utility()
+// and the batch kernel both go through these helpers; the operation
+// order, ((m * value_scale) * need) * log1p(c / need) and then the
+// penalties in turn, is what makes the two bit-identical.
+double clamped_need(double need_mbps) { return std::max(need_mbps, 0.1); }
+
+double value_weight(double multiplier, double value_scale, double need) {
+  return multiplier * value_scale * need;
+}
+
+// Saturating value: marginal value of an extra Mbps halves at c == need
+// and keeps shrinking — the "law of diminishing returns" in preferences.
+double log_capacity(Rate capacity, double need) {
+  return std::log1p(capacity.mbps() / need);
+}
+
+double perceived_price(const ServicePlan& plan, const PlanTerms& t) {
+  return plan.monthly_price.dollars() * t.price_markup;
+}
+
+double net_utility(double weight, double log_cap, const PlanTerms& t, double perceived) {
+  double value = weight * log_cap;
+  value *= t.wireless_value;
+  value *= t.capped_value;
+  value *= t.dedicated_value;
+  return value - perceived;
+}
+
+// The argmax preference: higher utility, then a strictly lower price, else
+// the plan seen first. Starting from (-inf, +inf), over-budget plans tie
+// their way to the cheapest one, which is also the nothing-affordable
+// fallback; any affordable plan then beats them.
+bool preferred(double u, double price, double best_u, double best_price) {
+  return u > best_u || (u == best_u && price < best_price);
+}
+
+}  // namespace
+
+PlanTerms PlanTerms::of(const ServicePlan& plan) {
+  PlanTerms t;
+  if (plan.tech == AccessTech::kFixedWireless || plan.tech == AccessTech::kSatellite) {
+    t.wireless_value = 0.55;
+    t.price_markup = 1.35;
+  }
+  if (plan.monthly_cap.has_value()) t.capped_value = 0.8;
+  if (plan.dedicated) t.dedicated_value = 0.9;
+  return t;
+}
+
 double ChoiceModel::capacity_value(const Household& household, Rate capacity) const {
-  const double need = std::max(household.need_mbps, 0.1);
-  const double c = capacity.mbps();
-  // Saturating value: marginal value of an extra Mbps halves at c == need
-  // and keeps shrinking — the "law of diminishing returns" in preferences.
-  return wtp_multiplier_ * household.value_scale * need * std::log1p(c / need);
+  const double need = clamped_need(household.need_mbps);
+  return value_weight(wtp_multiplier_, household.value_scale, need) *
+         log_capacity(capacity, need);
 }
 
 double ChoiceModel::utility(const Household& household, const ServicePlan& plan) const {
-  if (plan.monthly_price > household.budget) {
-    return -std::numeric_limits<double>::infinity();
-  }
-  double value = capacity_value(household, plan.download);
-  double perceived_price = plan.monthly_price.dollars();
-  // Households discount fixed-wireless/satellite service (reliability,
-  // latency) and data-capped plans relative to unmetered wireline — these
-  // exist in the catalogs but are not substitutes for home broadband. The
-  // penalty applies to both sides of the trade-off so it binds even for
-  // extremely price-driven households.
-  if (plan.tech == AccessTech::kFixedWireless || plan.tech == AccessTech::kSatellite) {
-    value *= 0.55;
-    perceived_price *= 1.35;
-  }
-  if (plan.monthly_cap.has_value()) value *= 0.8;
-  if (plan.dedicated) value *= 0.9;  // business lines: no consumer appeal
-  return value - perceived_price;
+  if (plan.monthly_price > household.budget) return -kInf;
+  const PlanTerms t = PlanTerms::of(plan);
+  const double need = clamped_need(household.need_mbps);
+  return net_utility(value_weight(wtp_multiplier_, household.value_scale, need),
+                     log_capacity(plan.download, need), t, perceived_price(plan, t));
 }
 
 std::optional<ServicePlan> ChoiceModel::choose(const Household& household,
@@ -43,25 +83,108 @@ std::optional<ServicePlan> ChoiceModel::choose(const Household& household,
   if (catalog.empty()) return std::nullopt;
 
   const ServicePlan* best = nullptr;
-  double best_utility = -std::numeric_limits<double>::infinity();
+  double best_utility = -kInf;
+  double best_price = kInf;
   const ServicePlan* cheapest = nullptr;
   for (const auto& plan : catalog.plans()) {
     if (cheapest == nullptr || plan.monthly_price < cheapest->monthly_price) {
       cheapest = &plan;
     }
     const double u = utility(household, plan);
-    const bool better =
-        u > best_utility ||
-        (u == best_utility && best != nullptr && plan.monthly_price < best->monthly_price);
-    if (better) {
+    if (preferred(u, plan.monthly_price.dollars(), best_utility, best_price)) {
       best = &plan;
       best_utility = u;
+      best_price = plan.monthly_price.dollars();
     }
   }
-  if (best == nullptr || best_utility == -std::numeric_limits<double>::infinity()) {
+  if (best == nullptr || best_utility == -kInf) {
     return *cheapest;  // nothing affordable: take the entry-level plan
   }
   return *best;
+}
+
+ChoiceBatch::ChoiceBatch(const PlanCatalog& catalog, std::span<const Household> households)
+    : n_households_{households.size()} {
+  require(!catalog.empty(), "ChoiceBatch: empty catalog");
+  const auto& plans = catalog.plans();
+  const std::size_t n_plans = plans.size();
+  terms_.reserve(n_plans);
+  price_.reserve(n_plans);
+  capacity_.reserve(n_plans);
+  for (std::uint32_t p = 0; p < n_plans; ++p) {
+    if (plans[p].monthly_price < plans[cheapest_].monthly_price) cheapest_ = p;
+    terms_.push_back(PlanTerms::of(plans[p]));
+    price_.push_back(plans[p].monthly_price.dollars());
+    capacity_.push_back(plans[p].download.mbps());
+    if (!std::isnan(capacity_.back())) by_capacity_.push_back(p);
+  }
+  std::stable_sort(by_capacity_.begin(), by_capacity_.end(),
+                   [&](std::uint32_t a, std::uint32_t b) { return capacity_[a] < capacity_[b]; });
+
+  need_.reserve(n_households_);
+  value_scale_.reserve(n_households_);
+  for (const auto& h : households) {
+    need_.push_back(clamped_need(h.need_mbps));
+    value_scale_.push_back(h.value_scale);
+  }
+  log_capacity_.resize(n_plans * n_households_);
+  perceived_.resize(n_plans * n_households_);
+  for (std::size_t p = 0; p < n_plans; ++p) {
+    const auto& plan = plans[p];
+    const double perceived = perceived_price(plan, terms_[p]);
+    for (std::size_t h = 0; h < n_households_; ++h) {
+      log_capacity_[p * n_households_ + h] = log_capacity(plan.download, need_[h]);
+      // finite - inf == -inf: utility()'s over-budget value, with no branch.
+      perceived_[p * n_households_ + h] =
+          plan.monthly_price > households[h].budget ? kInf : perceived;
+    }
+  }
+  weight_.resize(n_households_);
+  best_utility_.resize(n_households_);
+  best_price_.resize(n_households_);
+  pick_.resize(n_households_);
+  counts_.resize(n_plans);
+  chosen_.reserve(n_households_);
+}
+
+std::span<const std::uint32_t> ChoiceBatch::choose(double multiplier) {
+  const std::size_t n = n_households_;
+  for (std::size_t h = 0; h < n; ++h) {
+    weight_[h] = value_weight(multiplier, value_scale_[h], need_[h]);
+    best_utility_[h] = -kInf;
+    best_price_[h] = kInf;
+    pick_[h] = cheapest_;
+  }
+  for (std::uint32_t p = 0; p < terms_.size(); ++p) {
+    const PlanTerms& t = terms_[p];
+    const double price = price_[p];
+    const double* log_cap = &log_capacity_[p * n];
+    const double* perceived = &perceived_[p * n];
+    for (std::size_t h = 0; h < n; ++h) {
+      const double u = net_utility(weight_[h], log_cap[h], t, perceived[h]);
+      if (preferred(u, price, best_utility_[h], best_price_[h])) {
+        best_utility_[h] = u;
+        best_price_[h] = price;
+        pick_[h] = p;
+      }
+    }
+  }
+  for (std::size_t h = 0; h < n; ++h) {
+    // Nothing affordable: choose()'s entry-level fallback.
+    if (best_utility_[h] == -kInf) pick_[h] = cheapest_;
+  }
+  return pick_;
+}
+
+double ChoiceBatch::median_choice(double multiplier) {
+  std::fill(counts_.begin(), counts_.end(), 0U);
+  for (const std::uint32_t p : choose(multiplier)) ++counts_[p];
+  // The picks' capacities in ascending order, without sorting them:
+  // expand the per-plan counts over the capacity-sorted plan order.
+  chosen_.clear();
+  for (const std::uint32_t p : by_capacity_) chosen_.insert(chosen_.end(), counts_[p], capacity_[p]);
+  // stats::median's lenient contract: NaNs dropped, empty -> 0.
+  return chosen_.empty() ? 0.0 : stats::quantile_sorted(chosen_, 0.5);
 }
 
 ChoiceModel ChoiceModel::calibrated(const CountryProfile& country,
@@ -69,17 +192,7 @@ ChoiceModel ChoiceModel::calibrated(const CountryProfile& country,
                                     std::span<const Household> probe_households) {
   require(!catalog.empty(), "ChoiceModel::calibrated: empty catalog");
   require(!probe_households.empty(), "ChoiceModel::calibrated: no probe households");
-
-  const auto median_choice = [&](double multiplier) {
-    const ChoiceModel model{multiplier};
-    std::vector<double> chosen;
-    chosen.reserve(probe_households.size());
-    for (const auto& h : probe_households) {
-      const auto plan = model.choose(h, catalog);
-      chosen.push_back(plan ? plan->download.mbps() : 0.0);
-    }
-    return stats::median(chosen);
-  };
+  ChoiceBatch probes{catalog, probe_households};
 
   // Median chosen capacity is monotone non-decreasing in the multiplier;
   // bisect in log space to land near the market's typical capacity.
@@ -88,7 +201,7 @@ ChoiceModel ChoiceModel::calibrated(const CountryProfile& country,
   double hi = 1e4;
   for (int iter = 0; iter < 48; ++iter) {
     const double mid = std::sqrt(lo * hi);
-    if (median_choice(mid) < target) {
+    if (probes.median_choice(mid) < target) {
       lo = mid;
     } else {
       hi = mid;

@@ -11,11 +11,23 @@
 
 namespace bblab::stats {
 
+namespace {
+
+/// lgamma without the write to the global `signgam` that std::lgamma
+/// makes, which is a data race when binomial tests run on several
+/// threads (concurrent serve queries). Same values as std::lgamma.
+double log_gamma(double x) {
+  int sign = 0;
+  return ::lgamma_r(x, &sign);
+}
+
+}  // namespace
+
 double log_choose(std::uint64_t n, std::uint64_t k) {
   require(k <= n, "log_choose: k must be <= n");
-  return std::lgamma(static_cast<double>(n) + 1.0) -
-         std::lgamma(static_cast<double>(k) + 1.0) -
-         std::lgamma(static_cast<double>(n - k) + 1.0);
+  return log_gamma(static_cast<double>(n) + 1.0) -
+         log_gamma(static_cast<double>(k) + 1.0) -
+         log_gamma(static_cast<double>(n - k) + 1.0);
 }
 
 double binomial_pmf(std::uint64_t k, std::uint64_t n, double p) {
@@ -116,6 +128,9 @@ double pmf_sum(std::uint64_t k_lo, std::uint64_t k_hi, std::uint64_t n, double p
 double binomial_p_greater(std::uint64_t successes, std::uint64_t trials, double p0) {
   require(p0 > 0.0 && p0 < 1.0, "binomial test: p0 must be in (0,1)");
   require(successes <= trials, "binomial test: successes must be <= trials");
+  static obs::Counter& tests =
+      obs::Registry::instance().counter("stats.binomial_tests");
+  tests.add();
   if (trials == 0) return 1.0;
   const double p = pmf_sum(successes, trials, trials, p0);
   return std::min(1.0, p);

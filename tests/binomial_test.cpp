@@ -4,8 +4,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "core/error.h"
+#include "obs/metrics.h"
 
 namespace bblab::stats {
 namespace {
@@ -219,6 +221,17 @@ TEST(BinomialBatch, EdgeCases) {
   EXPECT_DOUBLE_EQ(zero_trials[1], 1.0);
   const std::vector<std::uint64_t> bad{5};
   EXPECT_THROW((void)binomial_p_greater_batch(bad, 4), InvalidArgument);
+}
+
+TEST(BinomialTest, CountsEveryTestOnceScalarOrBatched) {
+  const obs::Counter& tests = obs::Registry::instance().counter("stats.binomial_tests");
+  const std::uint64_t before = tests.value();
+  (void)binomial_p_greater(3, 10, 0.5);
+  (void)binomial_p_greater(0, 0, 0.5);
+  EXPECT_EQ(tests.value(), before + 2);
+  const std::vector<std::uint64_t> ks{1, 2, 3};
+  (void)binomial_p_greater_batch(ks, 10, 0.5);
+  EXPECT_EQ(tests.value(), before + 5);
 }
 
 }  // namespace
