@@ -33,11 +33,7 @@ ExperimentResult NaturalExperiment::run(const std::string& name,
   for (const auto& p : pairs) {
     const double t = treated[p.treated_index].outcome;
     const double c = control[p.control_index].outcome;
-    if (t == c) {
-      if (options_.drop_ties) continue;
-      ++trials;  // a tie counts against H
-      continue;
-    }
+    if (t == c) continue;  // a tie carries no sign: dropped, not counted
     ++trials;
     if (t > c) ++successes;
   }
@@ -61,11 +57,7 @@ ExperimentResult paired_experiment(const std::string& name,
   std::uint64_t successes = 0;
   std::uint64_t trials = 0;
   for (const auto& [control, treated] : outcomes) {
-    if (treated == control) {
-      if (options.drop_ties) continue;
-      ++trials;
-      continue;
-    }
+    if (treated == control) continue;  // ties are dropped
     ++trials;
     if (treated > control) ++successes;
   }

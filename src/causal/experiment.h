@@ -36,8 +36,6 @@ struct ExperimentOptions {
   double p0{0.5};
   double alpha{0.05};
   double practical_margin{0.02};
-  /// Ties (outcomes exactly equal) are dropped rather than counted.
-  bool drop_ties{true};
   /// Minimum matched pairs before the result is considered evaluable.
   std::size_t min_pairs{10};
 };
@@ -47,6 +45,7 @@ class NaturalExperiment {
   explicit NaturalExperiment(ExperimentOptions options = {}) : options_{options} {}
 
   /// Hypothesis H: treated outcome > control outcome within matched pairs.
+  /// Pairs with exactly equal outcomes are dropped from the sign test.
   [[nodiscard]] ExperimentResult run(const std::string& name,
                                      std::span<const Unit> treated,
                                      std::span<const Unit> control) const;
@@ -58,7 +57,7 @@ class NaturalExperiment {
 };
 
 /// Within-subject design: each element is (control outcome, treated
-/// outcome) for the same user; H: treated > control.
+/// outcome) for the same user; H: treated > control. Ties are dropped.
 [[nodiscard]] ExperimentResult paired_experiment(
     const std::string& name, std::span<const std::pair<double, double>> outcomes,
     const ExperimentOptions& options = {});

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <sstream>
 #include <string>
 
 #include "core/error.h"
@@ -72,7 +71,7 @@ HouseholdResult simulate_household(const PipelineToolkit& kit,
 
   HouseholdResult result;
   const auto flows = kit.workload->generate(task.workload, task.link, task.t0, t1, rng);
-  const netsim::FluidLinkSimulator sim{task.link, kit.tcp, kit.fluid};
+  const netsim::FluidLinkSimulator sim{task.link, kit.tcp};
   netsim::FluidWorkspace local;
   result.truth = sim.run(flows, task.t0, task.bins, task.bin_width_s,
                          workspace != nullptr ? *workspace : local);
@@ -107,64 +106,6 @@ std::vector<HouseholdResult> parallel_simulate_households(
     }
   });
   return results;
-}
-
-BatchResult parallel_simulate_households(const PipelineToolkit& kit,
-                                         std::span<const HouseholdTask> tasks,
-                                         const Rng& base, core::ThreadPool& pool,
-                                         const BatchOptions& options) {
-  BatchResult out;
-  if (!options.isolate_failures) {
-    out.results = parallel_simulate_households(kit, tasks, base, pool);
-    out.quarantine.note_admitted(out.results.size());
-    return out;
-  }
-
-  out.results.resize(tasks.size());
-  // Per-slot failure records, written in parallel (disjoint slots) and
-  // merged into the report in task order below, so the report — like the
-  // results — is independent of thread count.
-  std::vector<std::uint8_t> injected(tasks.size(), 0);
-  std::vector<std::string> errors(tasks.size());
-  core::parallel_for(pool, tasks.size(), [&](std::size_t begin, std::size_t end) {
-    netsim::FluidWorkspace workspace;
-    for (std::size_t i = begin; i < end; ++i) {
-      Rng rng = base.fork(tasks[i].stream_id);
-      try {
-        out.results[i] = simulate_household(kit, tasks[i], rng, &workspace);
-      } catch (const InjectedFault& e) {
-        out.results[i] = HouseholdResult{};
-        out.results[i].failed = true;
-        injected[i] = 1;
-        errors[i] = e.what();
-      } catch (const std::exception& e) {
-        out.results[i] = HouseholdResult{};
-        out.results[i].failed = true;
-        errors[i] = e.what();
-      }
-    }
-  });
-
-  for (std::size_t i = 0; i < tasks.size(); ++i) {
-    if (out.results[i].failed) {
-      out.quarantine.add(i,
-                         injected[i] != 0 ? QuarantineReason::kInjectedFault
-                                          : QuarantineReason::kHouseholdFailure,
-                         "stream " + std::to_string(tasks[i].stream_id), errors[i]);
-    } else {
-      out.quarantine.note_admitted();
-    }
-  }
-
-  if (out.quarantine.failure_rate() > options.max_failure_rate) {
-    std::ostringstream os;
-    os << "parallel_simulate_households: " << out.quarantine.quarantined() << "/"
-       << out.quarantine.total() << " households failed (rate "
-       << out.quarantine.failure_rate() << " > max " << options.max_failure_rate
-       << ")";
-    throw AnalysisError{os.str()};
-  }
-  return out;
 }
 
 }  // namespace bblab::measurement

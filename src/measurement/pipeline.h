@@ -14,7 +14,6 @@
 #include <span>
 #include <vector>
 
-#include "core/quarantine.h"
 #include "core/rng.h"
 #include "core/thread_pool.h"
 #include "faults/fault_plan.h"
@@ -65,7 +64,6 @@ struct HouseholdResult {
   netsim::BinnedUsage truth;  ///< simulator ground truth
   UsageSeries series;         ///< what the instrument observed
   UsageSummary summary;       ///< the per-user demand metrics
-  bool failed{false};         ///< quarantined by the isolating batch driver
 };
 
 /// Shared read-only simulation components. All referenced objects must
@@ -78,7 +76,6 @@ struct PipelineToolkit {
   /// Optional fault-injection plan; null or empty means clean data.
   const faults::FaultPlan* faults{nullptr};
   netsim::TcpModel tcp{};
-  netsim::FluidOptions fluid{};
 };
 
 /// Damage an observed series per a materialized household fault schedule:
@@ -110,30 +107,5 @@ void apply_faults(UsageSeries& series, const faults::HouseholdFaults& household)
 [[nodiscard]] std::vector<HouseholdResult> parallel_simulate_households(
     const PipelineToolkit& kit, std::span<const HouseholdTask> tasks,
     const Rng& base, core::ThreadPool& pool);
-
-/// Degradation policy for the isolating batch driver.
-struct BatchOptions {
-  /// Quarantine per-household exceptions instead of failing the batch.
-  bool isolate_failures{false};
-  /// Abort (AnalysisError) when quarantined/total exceeds this rate.
-  double max_failure_rate{1.0};
-};
-
-struct BatchResult {
-  std::vector<HouseholdResult> results;  ///< task order; failed slots are empty
-  core::QuarantineReport quarantine;     ///< index = task index
-};
-
-/// Like the vector overload, but with graceful degradation: when
-/// `options.isolate_failures` is set, a household that throws is recorded
-/// in the quarantine report (InjectedFault -> injected-fault, anything
-/// else -> household-failure), its result slot is marked `failed`, and
-/// the batch continues — unless the failure rate crosses
-/// `options.max_failure_rate`, which aborts with AnalysisError. The
-/// quarantine report is merged in task order, so it is bit-identical for
-/// any pool size too.
-[[nodiscard]] BatchResult parallel_simulate_households(
-    const PipelineToolkit& kit, std::span<const HouseholdTask> tasks,
-    const Rng& base, core::ThreadPool& pool, const BatchOptions& options);
 
 }  // namespace bblab::measurement

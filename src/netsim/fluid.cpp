@@ -357,17 +357,12 @@ BinnedUsage FluidLinkSimulator::run_incremental(std::span<const Flow> flows,
       for (const std::uint32_t id : down.admit_order) {
         offered_down += slots[id].cap_bps;
       }
-      const bool down_sat = offered_down > link_.down.bps() * 1.001;
-      bool up_sat = down_sat;  // legacy coupling: one shared queue
-      if (options_.per_direction_bloat) {
-        double offered_up = 0.0;
-        for (const std::uint32_t id : up.admit_order) {
-          offered_up += slots[id].cap_bps;
-        }
-        up_sat = offered_up > link_.up.bps() * 1.001;
+      double offered_up = 0.0;
+      for (const std::uint32_t id : up.admit_order) {
+        offered_up += slots[id].cap_bps;
       }
-      refresh_caps(down, down_sat);
-      refresh_caps(up, up_sat);
+      refresh_caps(down, offered_down > link_.down.bps() * 1.001);
+      refresh_caps(up, offered_up > link_.up.bps() * 1.001);
     }
 
     // Rates change only when the active set or a cap does; between such
@@ -482,13 +477,10 @@ BinnedUsage FluidLinkSimulator::run_reference(std::span<const Flow> flows,
     if (options_.bufferbloat) {
       double offered_down = 0.0;
       for (const auto& f : down_active) offered_down += f.cap_bps;
+      double offered_up = 0.0;
+      for (const auto& f : up_active) offered_up += f.cap_bps;
       const bool down_sat = offered_down > link_.down.bps() * 1.001;
-      bool up_sat = down_sat;
-      if (options_.per_direction_bloat) {
-        double offered_up = 0.0;
-        for (const auto& f : up_active) offered_up += f.cap_bps;
-        up_sat = offered_up > link_.up.bps() * 1.001;
-      }
+      const bool up_sat = offered_up > link_.up.bps() * 1.001;
       const double extra_down = down_sat ? options_.buffer_ms : 0.0;
       const double extra_up = up_sat ? options_.buffer_ms : 0.0;
       for (auto& f : down_active) f.cap_bps = flow_cap_bps(*f.flow, extra_down);

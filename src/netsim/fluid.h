@@ -71,17 +71,14 @@ struct BinnedUsage {
 /// Optional realism extensions.
 struct FluidOptions {
   /// Bufferbloat: when a direction of the access link is saturated, its
-  /// queue fills and flow RTTs inflate by ~buffer_ms, re-throttling
-  /// TCP-bound flows. Off by default (the paper-period analysis does not
-  /// need it); bench/ext_bufferbloat quantifies its effect.
+  /// queue fills and that direction's flow RTTs inflate by ~buffer_ms,
+  /// re-throttling TCP-bound flows. Each direction is gated on its own
+  /// offered load (upstream bufferbloat is the common DSL/cable case: a
+  /// saturated uplink bloats uploads even when the downlink idles). Off
+  /// by default (the paper-period analysis does not need it);
+  /// bench/ext_bufferbloat quantifies its effect.
   bool bufferbloat{false};
   double buffer_ms{150.0};
-  /// Gate each direction's RTT inflation on that direction's own offered
-  /// load (upstream bufferbloat is the common DSL/cable case: a saturated
-  /// uplink bloats uploads even when the downlink idles). When false, the
-  /// legacy coupling applies: downlink saturation inflates both
-  /// directions, and uplink saturation is ignored.
-  bool per_direction_bloat{true};
   /// Run the straightforward recompute-everything engine instead of the
   /// incremental zero-allocation one. The two are byte-identical (the
   /// differential property test enforces it); this flag exists so the

@@ -23,7 +23,7 @@ namespace bblab::stats {
 [[nodiscard]] double quantile_sorted(std::span<const double> sorted, double q);
 
 /// Several quantiles of one already-sorted sample — the batched core
-/// behind bootstrap CIs and figure summary rows: one pass of index
+/// behind figure summary rows: one pass of index
 /// arithmetic, no re-sorting, no allocation beyond the result. Same
 /// empty/NaN contract as quantile_sorted.
 [[nodiscard]] std::vector<double> quantiles_sorted(std::span<const double> sorted,

@@ -5,8 +5,6 @@
 #include <atomic>
 #include <bit>
 #include <cstring>
-#include <fstream>
-#include <istream>
 #include <limits>
 #include <ostream>
 #include <sstream>
@@ -478,71 +476,23 @@ void append_u64(std::string& out, std::uint64_t v) {
   append_u32(out, static_cast<std::uint32_t>(v >> 32));
 }
 
-// Byte sources the index/section readers are generic over: a seekable
-// stream (read_snapshot) or a memory mapping (SnapshotView). Both
-// return views valid until the next read_at call — the stream source
-// reuses one buffer, the view source slices the mapping (zero-copy).
-
-/// Seekable-stream source; read_at copies into a reused buffer.
-class StreamSource {
- public:
-  explicit StreamSource(std::istream& in) : in_{in} {}
-
-  [[nodiscard]] std::uint64_t size() {
-    in_.clear();
-    in_.seekg(0, std::ios::end);
-    const auto end = in_.tellg();
-    if (end < 0) {
-      throw SnapshotError{QuarantineReason::kFormatMismatch, "unseekable stream"};
-    }
-    return static_cast<std::uint64_t>(end);
+/// Bounds-checked slice of a snapshot's byte image: a range that
+/// leaves the file is framing damage, never an out-of-bounds read.
+std::string_view slice(std::string_view file, std::uint64_t offset,
+                       std::uint64_t size) {
+  if (offset > file.size() || size > file.size() - offset) {
+    throw SnapshotError{QuarantineReason::kFormatMismatch,
+                        "short read at offset " + std::to_string(offset)};
   }
+  return file.substr(offset, size);
+}
 
-  /// Read `size` bytes at `offset`; any stream failure is framing damage.
-  [[nodiscard]] std::string_view read_at(std::uint64_t offset,
-                                         std::uint64_t size) {
-    in_.clear();
-    in_.seekg(static_cast<std::streamoff>(offset), std::ios::beg);
-    buf_.assign(size, '\0');
-    in_.read(buf_.data(), static_cast<std::streamsize>(size));
-    if (!in_ || static_cast<std::uint64_t>(in_.gcount()) != size) {
-      throw SnapshotError{QuarantineReason::kFormatMismatch,
-                          "short read at offset " + std::to_string(offset)};
-    }
-    return buf_;
-  }
-
- private:
-  std::istream& in_;
-  std::string buf_;
-};
-
-/// Mapped-bytes source; read_at is a bounds-checked slice.
-class ViewSource {
- public:
-  explicit ViewSource(std::string_view file) : file_{file} {}
-
-  [[nodiscard]] std::uint64_t size() const { return file_.size(); }
-
-  [[nodiscard]] std::string_view read_at(std::uint64_t offset,
-                                         std::uint64_t size) const {
-    if (offset > file_.size() || size > file_.size() - offset) {
-      throw SnapshotError{QuarantineReason::kFormatMismatch,
-                          "short read at offset " + std::to_string(offset)};
-    }
-    return file_.substr(offset, size);
-  }
-
- private:
-  std::string_view file_;
-};
-
-void check_header(const std::string& header) {
+void check_header(std::string_view header) {
   if (header.size() != kHeaderSize ||
       std::memcmp(header.data(), kHeaderMagic, sizeof kHeaderMagic) != 0) {
     throw SnapshotError{QuarantineReason::kFormatMismatch, "not a .bbs snapshot"};
   }
-  ByteReader r{std::string_view{header}.substr(sizeof kHeaderMagic), "header"};
+  ByteReader r{header.substr(sizeof kHeaderMagic), "header"};
   const std::uint32_t endian = r.u32();
   if (endian != kEndianTag) {
     throw SnapshotError{QuarantineReason::kFormatMismatch,
@@ -557,22 +507,21 @@ void check_header(const std::string& header) {
   }
 }
 
-template <typename Source>
-SnapshotInfo read_index(Source& src) {
-  const std::uint64_t file_size = src.size();
+SnapshotInfo read_index(std::string_view file) {
+  const std::uint64_t file_size = file.size();
   if (file_size < kHeaderSize + kTrailerSize) {
     throw SnapshotError{QuarantineReason::kFormatMismatch,
                         "file too small to be a .bbs snapshot (" +
                             std::to_string(file_size) + " bytes)"};
   }
-  check_header(std::string{src.read_at(0, kHeaderSize)});
+  check_header(slice(file, 0, kHeaderSize));
 
-  const std::string trailer{src.read_at(file_size - kTrailerSize, kTrailerSize)};
+  const std::string_view trailer = slice(file, file_size - kTrailerSize, kTrailerSize);
   if (std::memcmp(trailer.data() + 16, kFooterMagic, sizeof kFooterMagic) != 0) {
     throw SnapshotError{QuarantineReason::kFormatMismatch,
                         "footer magic missing (truncated or overwritten file)"};
   }
-  ByteReader tr{std::string_view{trailer}.substr(0, 16), "trailer"};
+  ByteReader tr{trailer.substr(0, 16), "trailer"};
   const std::uint64_t footer_size = tr.u64();
   const std::uint64_t footer_checksum = tr.u64();
   if (footer_size > file_size - kHeaderSize - kTrailerSize) {
@@ -581,7 +530,7 @@ SnapshotInfo read_index(Source& src) {
                             " exceeds file size"};
   }
   const std::uint64_t footer_offset = file_size - kTrailerSize - footer_size;
-  const std::string footer{src.read_at(footer_offset, footer_size)};
+  const std::string_view footer = slice(file, footer_offset, footer_size);
   if (core::hash_bytes(footer.data(), footer.size(), kChecksumSeed) !=
       footer_checksum) {
     throw SnapshotError{QuarantineReason::kChecksumMismatch,
@@ -611,16 +560,15 @@ SnapshotInfo read_index(Source& src) {
   return info;
 }
 
-/// Locate, read and checksum-verify one section payload. The returned
-/// view is valid until the source's next read_at (forever for a
-/// ViewSource). Verification happens *before* the view escapes: corrupt
-/// bytes are never visible through the return value.
-template <typename Source>
-std::string_view load_section(Source& src, const SnapshotInfo& info,
+/// Locate and checksum-verify one section payload: a zero-copy slice of
+/// `file`, valid as long as `file` is. Verification happens *before* the
+/// view escapes: corrupt bytes are never visible through the return
+/// value.
+std::string_view load_section(std::string_view file, const SnapshotInfo& info,
                               const std::string& name) {
   for (const auto& s : info.sections) {
     if (s.name != name) continue;
-    const std::string_view payload = src.read_at(s.offset, s.size);
+    const std::string_view payload = slice(file, s.offset, s.size);
     if (core::hash_bytes(payload.data(), payload.size(), kChecksumSeed) !=
         s.checksum) {
       throw SnapshotError{QuarantineReason::kChecksumMismatch,
@@ -750,40 +698,39 @@ auto guard_decode(const char* what, Fn&& fn) -> decltype(fn()) {
   }
 }
 
-/// Decode a full dataset through any byte source. One section payload
-/// is live at a time; each decoder streams its columns directly into
-/// the destination vectors (and a ViewSource never buffers at all).
-template <typename Source>
-dataset::StudyDataset decode_dataset(Source& src, const SnapshotInfo& info,
+/// Decode a full dataset from a snapshot's byte image. Each decoder
+/// reads its columns straight out of `file` into the destination
+/// vectors; no section is copied on the way.
+dataset::StudyDataset decode_dataset(std::string_view file, const SnapshotInfo& info,
                                      const market::World& world) {
   dataset::StudyDataset ds;
   {
-    ByteReader r{load_section(src, info, "config"), "config"};
+    ByteReader r{load_section(file, info, "config"), "config"};
     ds.config = decode_config(r);
     r.expect_exhausted();
   }
   {
-    ByteReader r{load_section(src, info, "dasu"), "dasu"};
+    ByteReader r{load_section(file, info, "dasu"), "dasu"};
     ds.dasu = decode_user_records(r);
     r.expect_exhausted();
   }
   {
-    ByteReader r{load_section(src, info, "fcc"), "fcc"};
+    ByteReader r{load_section(file, info, "fcc"), "fcc"};
     ds.fcc = decode_user_records(r);
     r.expect_exhausted();
   }
   {
-    ByteReader r{load_section(src, info, "upgrades"), "upgrades"};
+    ByteReader r{load_section(file, info, "upgrades"), "upgrades"};
     ds.upgrades = decode_upgrades(r);
     r.expect_exhausted();
   }
   {
-    ByteReader r{load_section(src, info, "markets"), "markets"};
+    ByteReader r{load_section(file, info, "markets"), "markets"};
     ds.markets = decode_markets(r, world);
     r.expect_exhausted();
   }
   {
-    ByteReader r{load_section(src, info, "qc"), "qc"};
+    ByteReader r{load_section(file, info, "qc"), "qc"};
     ds.qc = decode_qc(r);
     r.expect_exhausted();
   }
@@ -792,34 +739,16 @@ dataset::StudyDataset decode_dataset(Source& src, const SnapshotInfo& info,
 
 }  // namespace
 
-dataset::StudyDataset read_snapshot(std::istream& in, const market::World& world) {
+dataset::StudyDataset read_snapshot(std::string_view bytes,
+                                    const market::World& world) {
   return guard_decode("read_snapshot", [&] {
-    StreamSource src{in};
-    const SnapshotInfo info = read_index(src);
-    return decode_dataset(src, info, world);
+    return decode_dataset(bytes, read_index(bytes), world);
   });
 }
 
 dataset::StudyDataset read_snapshot_file(const std::filesystem::path& path,
                                          const market::World& world) {
-  // Prefer the zero-copy mmap reader; fall back to streaming for files
-  // that exist but cannot be mapped (pipes, exotic filesystems). A
-  // missing/unopenable file throws IoError from try_open, matching the
-  // historical contract.
-  if (auto mapped = MappedFile::try_open(path)) {
-    SnapshotView view{std::move(*mapped)};
-    return view.dataset(world);
-  }
-  std::ifstream in{path, std::ios::binary};
-  if (!in) throw IoError{"read_snapshot_file: cannot open " + path.string()};
-  return read_snapshot(in, world);
-}
-
-SnapshotInfo inspect_snapshot(std::istream& in) {
-  return guard_decode("inspect_snapshot", [&] {
-    StreamSource src{in};
-    return read_index(src);
-  });
+  return SnapshotView::open(path).dataset(world);
 }
 
 SnapshotView SnapshotView::open(const std::filesystem::path& path) {
@@ -827,17 +756,12 @@ SnapshotView SnapshotView::open(const std::filesystem::path& path) {
 }
 
 SnapshotView::SnapshotView(MappedFile file) : file_{std::move(file)} {
-  info_ = guard_decode("SnapshotView", [&] {
-    ViewSource src{file_.view()};
-    return read_index(src);
-  });
+  info_ = guard_decode("SnapshotView", [&] { return read_index(file_.view()); });
 }
 
 std::string_view SnapshotView::section(const std::string& name) const {
-  return guard_decode("SnapshotView::section", [&] {
-    ViewSource src{file_.view()};
-    return load_section(src, info_, name);
-  });
+  return guard_decode("SnapshotView::section",
+                      [&] { return load_section(file_.view(), info_, name); });
 }
 
 dataset::StudyConfig SnapshotView::config() const {
@@ -850,10 +774,8 @@ dataset::StudyConfig SnapshotView::config() const {
 }
 
 dataset::StudyDataset SnapshotView::dataset(const market::World& world) const {
-  return guard_decode("SnapshotView::dataset", [&] {
-    ViewSource src{file_.view()};
-    return decode_dataset(src, info_, world);
-  });
+  return guard_decode("SnapshotView::dataset",
+                      [&] { return decode_dataset(file_.view(), info_, world); });
 }
 
 namespace {

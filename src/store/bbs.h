@@ -16,8 +16,8 @@
 //      never silently wrong data.
 //   3. Columnar: big sections store one field across all records
 //      contiguously, and the reader decodes column-at-a-time straight
-//      into the destination vector — no intermediate row objects, and
-//      peak transient memory is one section buffer, not the file.
+//      from the file's byte image into the destination vector — no
+//      intermediate row objects and no per-section buffers.
 //   4. Seekable: a footer index maps section name -> (offset, size,
 //      checksum), so `bblab cat` and partial readers locate any section
 //      in O(1) without scanning the file.
@@ -32,6 +32,7 @@
 #include <filesystem>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/error.h"
@@ -75,13 +76,18 @@ void write_snapshot_file(const std::filesystem::path& path,
                          const dataset::StudyDataset& ds,
                          core::FileSystem& fs = core::FileSystem::instance());
 
-/// Deserialize a snapshot. MarketSnapshot::country pointers are rebound
+/// Deserialize a snapshot from its complete byte image (a mapping or a
+/// buffer already read). MarketSnapshot::country pointers are rebound
 /// into `world` (a snapshot referencing a country the world does not
-/// contain is rejected with kBadValue). The stream must be seekable.
-/// Throws SnapshotError on any corruption or version mismatch.
+/// contain is rejected with kBadValue). Throws SnapshotError on any
+/// corruption or version mismatch. This is the one decoder:
+/// SnapshotView runs it over the mapping.
 [[nodiscard]] dataset::StudyDataset read_snapshot(
-    std::istream& in, const market::World& world = market::World::builtin());
+    std::string_view bytes, const market::World& world = market::World::builtin());
 
+/// Map `path` and decode it (SnapshotView::open(path).dataset(world)).
+/// A file that cannot be opened or mapped (missing, a pipe, a directory)
+/// is an IoError, never a SnapshotError.
 [[nodiscard]] dataset::StudyDataset read_snapshot_file(
     const std::filesystem::path& path,
     const market::World& world = market::World::builtin());
@@ -100,10 +106,6 @@ struct SnapshotInfo {
   std::vector<SectionInfo> sections;
 };
 
-/// Read only the header + footer index (O(1) in file size). Verifies
-/// framing and the footer checksum but not section payloads.
-[[nodiscard]] SnapshotInfo inspect_snapshot(std::istream& in);
-
 /// Zero-copy snapshot reader over a memory-mapped `.bbs` file.
 ///
 /// Opening verifies the framing (header magic/version/endian tag) and
@@ -112,10 +114,9 @@ struct SnapshotInfo {
 /// directly into the mapping — no per-section heap buffer — and
 /// checksum-verifies the payload *before* returning it, so a truncated
 /// or bit-flipped section is a typed SnapshotError at the call site and
-/// corrupt bytes are never visible through a view. Decoding through
-/// views (`dataset()`) is byte-equivalent to read_snapshot() on the
-/// same file; it is what `bblab cat`, cache loads, and the serve
-/// daemon's dataset LRU run on.
+/// corrupt bytes are never visible through a view. `dataset()` is
+/// read_snapshot() over the mapping; it is what `bblab cat`, cache
+/// loads, and the serve daemon's dataset LRU run on.
 ///
 /// Move-only; the mapping (and every view into it) lives as long as the
 /// SnapshotView. Thread-safe for concurrent reads: all state is
@@ -123,12 +124,9 @@ struct SnapshotInfo {
 class SnapshotView {
  public:
   /// mmap `path` and verify its framing. Throws IoError when the file
-  /// cannot be opened/mapped, SnapshotError when it is not a healthy
-  /// snapshot.
+  /// cannot be opened/mapped (including any non-regular file),
+  /// SnapshotError when it is not a healthy snapshot.
   [[nodiscard]] static SnapshotView open(const std::filesystem::path& path);
-
-  /// Wrap an already-mapped file (verifies framing + footer index).
-  explicit SnapshotView(MappedFile file);
 
   SnapshotView(SnapshotView&&) = default;
   SnapshotView& operator=(SnapshotView&&) = default;
@@ -144,12 +142,15 @@ class SnapshotView {
   /// enough to fingerprint the snapshot without materializing tables.
   [[nodiscard]] dataset::StudyConfig config() const;
 
-  /// Decode the full dataset from section views. Identical output to
-  /// read_snapshot() on the same bytes, with zero intermediate buffers.
+  /// Decode the full dataset from section views, with zero
+  /// intermediate buffers.
   [[nodiscard]] dataset::StudyDataset dataset(
       const market::World& world = market::World::builtin()) const;
 
  private:
+  /// Wrap an already-mapped file (verifies framing + footer index).
+  explicit SnapshotView(MappedFile file);
+
   MappedFile file_;
   SnapshotInfo info_;
 };

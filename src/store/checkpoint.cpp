@@ -195,8 +195,7 @@ struct Manifest {
   if (file_hash_out != nullptr) {
     *file_hash_out = core::hash_bytes(bytes.data(), bytes.size(), kManifestSeed);
   }
-  std::istringstream in{bytes, std::ios::binary};
-  dataset::StudyDataset sds = read_snapshot(in, world);
+  dataset::StudyDataset sds = read_snapshot(bytes, world);
   if (dataset_fingerprint(sds.config, world) != key) {
     throw SnapshotError{QuarantineReason::kFormatMismatch,
                         "segment " + path.string() + " belongs to another run"};
@@ -259,8 +258,10 @@ CheckpointedRun run_checkpointed(const market::World& world,
     fs.remove(manifest_path);
   }
 
-  std::map<std::size_t, const ManifestCommit*> committed;
-  for (const ManifestCommit& c : manifest.commits) committed[c.index] = &c;
+  // Shard index -> committed file hash, by value: commit_shard appends to
+  // manifest.commits, so pointers into it would dangle on reallocation.
+  std::map<std::size_t, std::uint64_t> committed;
+  for (const ManifestCommit& c : manifest.commits) committed[c.index] = c.file_hash;
 
   const bool deadline_enabled = opts.shard_deadline_s > 0.0;
   core::ThreadPool pool{config.threads};
@@ -303,7 +304,7 @@ CheckpointedRun run_checkpointed(const market::World& world,
         try {
           std::uint64_t file_hash = 0;
           dataset::StudyDataset sds = load_segment(fs, path, world, key, &file_hash);
-          if (in_manifest && it->second->file_hash != file_hash) {
+          if (in_manifest && it->second != file_hash) {
             throw SnapshotError{QuarantineReason::kChecksumMismatch,
                                 "segment " + path.string() +
                                     " does not match its manifest commit"};

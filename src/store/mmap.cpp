@@ -8,7 +8,6 @@
 #include <cerrno>
 #include <cstring>
 #include <string>
-#include <utility>
 
 #include "core/error.h"
 
@@ -50,9 +49,10 @@ void MappedFile::unmap() noexcept {
   size_ = 0;
 }
 
-std::optional<MappedFile> MappedFile::try_open(
-    const std::filesystem::path& path) {
-  FdGuard guard{::open(path.c_str(), O_RDONLY | O_CLOEXEC)};
+MappedFile MappedFile::open(const std::filesystem::path& path) {
+  // O_NONBLOCK: opening a FIFO with no writer must fail fast below
+  // rather than hang; it changes nothing for a regular file.
+  FdGuard guard{::open(path.c_str(), O_RDONLY | O_CLOEXEC | O_NONBLOCK)};
   if (guard.fd < 0) {
     throw IoError{"mmap open: cannot open " + path.string() + ": " +
                   std::strerror(errno)};
@@ -62,23 +62,21 @@ std::optional<MappedFile> MappedFile::try_open(
     throw IoError{"mmap open: fstat " + path.string() + ": " +
                   std::strerror(errno)};
   }
-  if (!S_ISREG(st.st_mode)) return std::nullopt;  // pipe/dir/device: stream it
+  if (!S_ISREG(st.st_mode)) {
+    throw IoError{"mmap open: " + path.string() +
+                  " is not a regular file, so it is not mappable"};
+  }
   MappedFile mapped;
   if (st.st_size == 0) return mapped;  // empty view, no mmap call
   void* addr = ::mmap(nullptr, static_cast<std::size_t>(st.st_size), PROT_READ,
                       MAP_PRIVATE, guard.fd, 0);
-  if (addr == MAP_FAILED) return std::nullopt;  // fs without mmap: stream it
+  if (addr == MAP_FAILED) {
+    throw IoError{"mmap open: " + path.string() + " is not mappable: " +
+                  std::strerror(errno)};
+  }
   mapped.addr_ = addr;
   mapped.size_ = static_cast<std::size_t>(st.st_size);
   return mapped;
-}
-
-MappedFile MappedFile::open(const std::filesystem::path& path) {
-  auto mapped = try_open(path);
-  if (!mapped) {
-    throw IoError{"mmap open: " + path.string() + " is not mappable"};
-  }
-  return std::move(*mapped);
 }
 
 }  // namespace bblab::store

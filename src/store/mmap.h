@@ -17,7 +17,6 @@
 
 #include <cstddef>
 #include <filesystem>
-#include <optional>
 #include <string_view>
 
 namespace bblab::store {
@@ -34,15 +33,9 @@ class MappedFile {
   ~MappedFile();
 
   /// Map `path` read-only. Throws IoError if the file cannot be opened
-  /// (missing, permissions) or cannot be mapped (not a regular file).
+  /// (missing, permissions) or cannot be mapped (not a regular file — a
+  /// pipe or a directory — or a filesystem without mmap).
   [[nodiscard]] static MappedFile open(const std::filesystem::path& path);
-
-  /// Like open(), but a file that exists yet cannot be *mapped* (a
-  /// pipe, an exotic filesystem without mmap) returns nullopt so the
-  /// caller can fall back to streaming; a file that cannot be opened
-  /// at all still throws IoError.
-  [[nodiscard]] static std::optional<MappedFile> try_open(
-      const std::filesystem::path& path);
 
   [[nodiscard]] std::string_view view() const {
     return {static_cast<const char*>(addr_), size_};

@@ -68,8 +68,8 @@ void expect_identical(const BinnedUsage& a, const BinnedUsage& b) {
 }
 
 // 8 seeds x 125 iterations = 1000 randomized workloads, mixing volume and
-// duration flows, both directions, off-window starts, bufferbloat on/off
-// (both gating modes), varied bin widths, and non-zero window origins.
+// duration flows, both directions, off-window starts, bufferbloat on/off,
+// varied bin widths, and non-zero window origins.
 // One workspace is reused across every optimized run, so cross-workload
 // state leakage would surface as a mismatch too.
 class FluidDifferential : public ::testing::TestWithParam<std::uint64_t> {};
@@ -88,7 +88,6 @@ TEST_P(FluidDifferential, OptimizedMatchesReferenceByteExactly) {
     FluidOptions options;
     options.bufferbloat = rng.bernoulli(0.4);
     options.buffer_ms = rng.uniform(50.0, 600.0);
-    options.per_direction_bloat = rng.bernoulli(0.5);
 
     FluidOptions ref_options = options;
     ref_options.reference_engine = true;

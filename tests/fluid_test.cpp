@@ -375,10 +375,9 @@ TEST(FluidSim, SegmentEndingExactlyAtWindowEnd) {
 }
 
 TEST(FluidSim, BufferbloatUplinkGatedOnUplinkSaturation) {
-  // Downlink saturated, uplink idle: with per-direction gating (the
-  // default) an uplink flow on a lossy path keeps its unbloated TCP cap;
-  // under the legacy shared-queue coupling the downlink queue throttles
-  // it too.
+  // Downlink saturated, uplink idle: each direction is gated on its own
+  // queue, so an uplink flow on a lossy path keeps its unbloated TCP cap
+  // while the downlink queue fills.
   AccessLink l = clean_link(6.0);
   l.up = Rate::from_mbps(10.0);  // roomy uplink: never saturated here
   l.rtt_ms = 60.0;
@@ -400,16 +399,16 @@ TEST(FluidSim, BufferbloatUplinkGatedOnUplinkSaturation) {
   up.duration_s = 120.0;
   flows.push_back(up);
 
-  FluidOptions gated{.bufferbloat = true, .buffer_ms = 400.0};
-  FluidOptions legacy = gated;
-  legacy.per_direction_bloat = false;
-  const auto g = FluidLinkSimulator{l, TcpModel{}, gated}.run(flows, 0.0, 4, 30.0);
-  const auto s = FluidLinkSimulator{l, TcpModel{}, legacy}.run(flows, 0.0, 4, 30.0);
-  // Gated: uplink unaffected by the downlink queue -> strictly more upload.
-  EXPECT_GT(total(g.up_bytes), total(s.up_bytes) * 1.2);
-  // Downlink behavior is identical in both modes (down saturation drives it).
+  const FluidLinkSimulator plain{l};
+  const FluidLinkSimulator bloated{
+      l, TcpModel{}, FluidOptions{.bufferbloat = true, .buffer_ms = 400.0}};
+  const auto p = plain.run(flows, 0.0, 4, 30.0);
+  const auto b = bloated.run(flows, 0.0, 4, 30.0);
+  // The uplink never saturates, so the downlink queue leaves it exactly
+  // as it is without bloat.
+  EXPECT_GT(total(b.up_bytes), 0.0);
   for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_DOUBLE_EQ(g.down_bytes[i], s.down_bytes[i]) << "bin " << i;
+    EXPECT_DOUBLE_EQ(b.up_bytes[i], p.up_bytes[i]) << "bin " << i;
   }
 }
 
@@ -445,14 +444,6 @@ TEST(FluidSim, BufferbloatUplinkSaturationBloatsUplink) {
   // split differs from the unbloated run.
   EXPECT_GT(total(p.up_bytes), 0.0);
   EXPECT_GT(total(b.up_bytes), 0.0);
-  // Legacy mode ignores uplink saturation entirely: byte-identical to the
-  // unbloated run when the downlink never saturates.
-  FluidOptions legacy{.bufferbloat = true, .buffer_ms = 400.0,
-                      .per_direction_bloat = false};
-  const auto s = FluidLinkSimulator{l, TcpModel{}, legacy}.run(flows, 0.0, 4, 30.0);
-  for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_DOUBLE_EQ(s.up_bytes[i], p.up_bytes[i]) << "bin " << i;
-  }
 }
 
 TEST(FluidSim, WorkspaceReuseMatchesFreshRuns) {

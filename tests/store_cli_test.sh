@@ -4,7 +4,8 @@
 #      runs at 1, 2 and 8 threads all hit the SAME cache entry and produce
 #      byte-identical CSVs (parallelism is excluded from the cache key).
 #   2. pack -> cat round-trips; cat on a corrupted snapshot fails with a
-#      typed error and a non-zero exit, never a crash.
+#      typed error and a non-zero exit, never a crash; cat on a FIFO fails
+#      with an I/O error (not mappable), not a format error.
 #   3. cache ls / rm KEY / rm all manage entries as advertised.
 set -u
 
@@ -45,6 +46,23 @@ for section in config dasu fcc upgrades markets qc; do
   grep -q "^$section " "$WORK/cat.out" || fail "cat: missing section $section"
 done
 grep -q "records: dasu=" "$WORK/cat.out" || fail "cat: missing record counts"
+
+# A FIFO is not a corrupt snapshot: cat must refuse it as unmappable (an
+# I/O error naming the path), not as a format mismatch, and must not hang
+# whether or not the writer has opened its end yet.
+mkfifo "$WORK/pipe.bbs"
+timeout 30 sh -c 'cat "$1" >"$2"' _ "$WORK/snap.bbs" "$WORK/pipe.bbs" \
+  2>/dev/null &
+writer=$!
+timeout 30 "$BBLAB" cat "$WORK/pipe.bbs" >/dev/null 2>"$WORK/fifo.err"
+status=$?
+kill "$writer" 2>/dev/null
+wait "$writer" 2>/dev/null
+[ "$status" -eq 1 ] || fail "cat on a FIFO exited $status, want 1"
+grep -q "^error: .*$WORK/pipe.bbs.*not mappable" "$WORK/fifo.err" \
+  || fail "cat on a FIFO: no not-mappable error naming the path"
+grep -q "format-mismatch" "$WORK/fifo.err" \
+  && fail "cat on a FIFO reported a corrupt snapshot"
 
 python3 - "$WORK/snap.bbs" <<'EOF'
 import sys

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cmath>
@@ -95,8 +96,7 @@ std::string serialized(const dataset::StudyDataset& ds) {
 
 TEST(Snapshot, RoundTripIsBitLossless) {
   const auto ds = make_tiny();
-  std::istringstream in{serialized(ds)};
-  const auto back = read_snapshot(in);
+  const auto back = read_snapshot(serialized(ds));
 
   EXPECT_EQ(content_hash(back), content_hash(ds));
   // Spot-check what content_hash asserts, including what operator== cannot.
@@ -133,18 +133,14 @@ TEST(Snapshot, GeneratedDatasetRoundTrips) {
       dataset::StudyGenerator{market::World::builtin(), config}.generate();
   ASSERT_FALSE(ds.dasu.empty());
 
-  std::istringstream in{serialized(ds)};
-  const auto back = read_snapshot(in);
+  const auto back = read_snapshot(serialized(ds));
   EXPECT_EQ(content_hash(back), content_hash(ds));
   EXPECT_EQ(back.markets.size(), ds.markets.size());
 }
 
 TEST(Snapshot, EveryByteFlipIsDetected) {
   const std::string clean = serialized(make_tiny());
-  {
-    std::istringstream in{clean};
-    EXPECT_NO_THROW((void)read_snapshot(in));
-  }
+  EXPECT_NO_THROW((void)read_snapshot(clean));
   // Flip a low and a high bit of every byte of the file. Whatever the
   // byte encodes — magic, version, section payload, footer, trailer —
   // the reader must reject the file with a typed error, never crash or
@@ -154,8 +150,7 @@ TEST(Snapshot, EveryByteFlipIsDetected) {
     for (const unsigned char mask : {0x01, 0x80}) {
       std::string damaged = clean;
       damaged[i] = static_cast<char>(damaged[i] ^ mask);
-      std::istringstream in{damaged};
-      EXPECT_THROW((void)read_snapshot(in), SnapshotError)
+      EXPECT_THROW((void)read_snapshot(damaged), SnapshotError)
           << "flip survived at byte " << i << " mask " << int(mask);
       ++checked;
     }
@@ -168,8 +163,8 @@ TEST(Snapshot, TruncationIsDetected) {
   for (const std::size_t keep :
        {std::size_t{0}, std::size_t{1}, std::size_t{15}, std::size_t{16},
         clean.size() / 2, clean.size() - 1}) {
-    std::istringstream in{clean.substr(0, keep)};
-    EXPECT_THROW((void)read_snapshot(in), SnapshotError) << "kept " << keep;
+    EXPECT_THROW((void)read_snapshot(clean.substr(0, keep)), SnapshotError)
+        << "kept " << keep;
   }
 }
 
@@ -181,9 +176,8 @@ TEST(Snapshot, TruncationAtEveryLengthIsATypedError) {
   const std::string clean = serialized(make_tiny());
   ASSERT_GT(clean.size(), 100u);
   for (std::size_t keep = 0; keep < clean.size(); ++keep) {
-    std::istringstream in{clean.substr(0, keep)};
     try {
-      (void)read_snapshot(in);
+      (void)read_snapshot(clean.substr(0, keep));
       FAIL() << "prefix of " << keep << " bytes accepted as a snapshot";
     } catch (const SnapshotError&) {
       // the one permitted outcome
@@ -196,9 +190,26 @@ TEST(Snapshot, TruncationAtEveryLengthIsATypedError) {
 
 TEST(Snapshot, GarbageFilesFailTyped) {
   const auto dir = std::filesystem::path{::testing::TempDir()} / "bbs_garbage";
+  std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
 
   EXPECT_THROW((void)read_snapshot_file(dir / "absent.bbs"), IoError);
+
+  // A pipe or a directory is not a corrupt snapshot: it cannot be mapped,
+  // which is an IoError naming the path (and a FIFO with no writer must
+  // not hang the open).
+  ASSERT_EQ(::mkfifo((dir / "pipe.bbs").c_str(), 0600), 0);
+  for (const auto& path : {dir / "pipe.bbs", dir}) {
+    try {
+      (void)read_snapshot_file(path);
+      FAIL() << path << " decoded as a snapshot";
+    } catch (const SnapshotError& e) {
+      FAIL() << path << " reported as a corrupt snapshot: " << e.what();
+    } catch (const IoError& e) {
+      EXPECT_NE(std::string{e.what()}.find(path.string()), std::string::npos)
+          << e.what();
+    }
+  }
 
   { std::ofstream out{dir / "empty.bbs", std::ios::binary}; }
   EXPECT_THROW((void)read_snapshot_file(dir / "empty.bbs"), SnapshotError);
@@ -218,9 +229,8 @@ TEST(Snapshot, ErrorsCarryTypedReasons) {
 
   std::string wrong_magic = clean;
   wrong_magic[0] = 'X';
-  std::istringstream m{wrong_magic};
   try {
-    (void)read_snapshot(m);
+    (void)read_snapshot(wrong_magic);
     FAIL() << "bad magic accepted";
   } catch (const SnapshotError& e) {
     EXPECT_EQ(e.reason(), QuarantineReason::kFormatMismatch);
@@ -228,9 +238,8 @@ TEST(Snapshot, ErrorsCarryTypedReasons) {
 
   std::string future_version = clean;
   future_version[12] = 9;  // version field, little-endian first byte
-  std::istringstream v{future_version};
   try {
-    (void)read_snapshot(v);
+    (void)read_snapshot(future_version);
     FAIL() << "future version accepted";
   } catch (const SnapshotError& e) {
     EXPECT_EQ(e.reason(), QuarantineReason::kFormatMismatch);
@@ -238,9 +247,8 @@ TEST(Snapshot, ErrorsCarryTypedReasons) {
 
   std::string payload_damage = clean;
   payload_damage[20] ^= 0x40;  // inside the config section payload
-  std::istringstream p{payload_damage};
   try {
-    (void)read_snapshot(p);
+    (void)read_snapshot(payload_damage);
     FAIL() << "payload damage accepted";
   } catch (const SnapshotError& e) {
     EXPECT_EQ(e.reason(), QuarantineReason::kChecksumMismatch);
@@ -252,9 +260,8 @@ TEST(Snapshot, UnknownCountryIsRejectedAsBadValue) {
   auto node = ds.markets.extract("US");
   node.key() = "ZZ";  // no such country in the builtin world
   ds.markets.insert(std::move(node));
-  std::istringstream in{serialized(ds)};
   try {
-    (void)read_snapshot(in);
+    (void)read_snapshot(serialized(ds));
     FAIL() << "unknown country accepted";
   } catch (const SnapshotError& e) {
     EXPECT_EQ(e.reason(), QuarantineReason::kBadValue);
@@ -262,9 +269,16 @@ TEST(Snapshot, UnknownCountryIsRejectedAsBadValue) {
 }
 
 TEST(Snapshot, InspectListsAllSectionsInOrder) {
+  const auto dir = std::filesystem::path{::testing::TempDir()} /
+                   ("bbs_inspect_" + std::to_string(::getpid()));
+  std::filesystem::create_directories(dir);
   const std::string bytes = serialized(make_tiny());
-  std::istringstream in{bytes};
-  const auto info = inspect_snapshot(in);
+  {
+    std::ofstream out{dir / "snap.bbs", std::ios::binary};
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  const auto view = SnapshotView::open(dir / "snap.bbs");
+  const auto& info = view.info();
   EXPECT_EQ(info.version, kFormatVersion);
   EXPECT_EQ(info.file_size, bytes.size());
   const std::vector<std::string> want{"config", "dasu",    "fcc",
@@ -276,6 +290,7 @@ TEST(Snapshot, InspectListsAllSectionsInOrder) {
     EXPECT_EQ(info.sections[i].offset, offset);
     offset += info.sections[i].size;
   }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Snapshot, FileRoundTripAndAtomicity) {

@@ -475,25 +475,13 @@ int cmd_cat(const CliOptions& options) {
     std::cerr << "cannot open " << path << "\n";
     return 1;
   }
-  // Zero-copy path: mmap the snapshot and decode straight out of the
-  // mapping — same SnapshotView the serve daemon runs on. Files that
-  // cannot be mapped (FIFOs, exotic filesystems) fall back to streaming.
-  store::SnapshotInfo info;
-  dataset::StudyDataset ds;
-  if (auto mapped = store::MappedFile::try_open(path)) {
-    const store::SnapshotView view{std::move(*mapped)};
-    info = view.info();
-    // Decoding verifies every section checksum before handing out views.
-    ds = view.dataset();
-  } else {
-    std::ifstream in{path, std::ios::binary};
-    if (!in) {
-      std::cerr << "cannot open " << path << "\n";
-      return 1;
-    }
-    info = store::inspect_snapshot(in);
-    ds = store::read_snapshot(in);
-  }
+  // Zero-copy: mmap the snapshot and decode straight out of the mapping —
+  // the same SnapshotView the serve daemon runs on. A file that cannot be
+  // mapped (a FIFO, a directory) is an IoError naming the path.
+  const store::SnapshotView view = store::SnapshotView::open(path);
+  const store::SnapshotInfo& info = view.info();
+  // Decoding verifies every section checksum before handing out views.
+  const dataset::StudyDataset ds = view.dataset();
   std::cout << "bbs format v" << info.version << ", " << info.file_size
             << " bytes, " << info.sections.size() << " sections\n";
   std::printf("%-10s %10s %12s  %s\n", "section", "offset", "bytes", "checksum");
