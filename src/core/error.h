@@ -9,6 +9,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace bblab {
 
@@ -97,8 +98,16 @@ inline constexpr QuarantineReason kMaxQuarantineReason =
 [[nodiscard]] const char* quarantine_reason_label(QuarantineReason reason);
 
 /// Validate a caller-supplied precondition; throws InvalidArgument.
-inline void require(bool condition, const std::string& message) {
-  if (!condition) throw InvalidArgument{message};
+///
+/// Preconditions sit inside per-bin, per-flow and per-pair loops, so the
+/// success path must cost one branch and allocate nothing: the message is
+/// a view (normally a string literal) and becomes a std::string only
+/// inside the throw. Never build a message before the check — a call like
+/// `require(ok, "unknown " + key)` allocates on every call, even when it
+/// passes. Where the message needs runtime data, test first and build the
+/// message in the failure branch: `if (!ok) throw InvalidArgument{...}`.
+inline void require(bool condition, std::string_view message) {
+  if (!condition) throw InvalidArgument{std::string{message}};
 }
 
 }  // namespace bblab

@@ -52,12 +52,56 @@ class SimClock {
 
   [[nodiscard]] bool is_weekend(SimTime t) const { return day_of_week(t) >= 5; }
 
+  /// Day of week of whole day `day` since the epoch (day_of_week of any
+  /// time inside that day).
+  [[nodiscard]] int weekday_of_day(std::int64_t day) const {
+    const auto dow = static_cast<int>((day + epoch_weekday_) % 7);
+    return dow < 0 ? dow + 7 : dow;
+  }
+
   /// "2012-w17 day3 14:30" style label for logs and traces.
   [[nodiscard]] std::string label(SimTime t) const;
 
  private:
   int epoch_year_;
   int epoch_weekday_;
+};
+
+/// Calendar position walked along a whole-second grid t0, t0 + step, ...
+/// in integer arithmetic: no fmod or floor per point, and at each point
+/// hour_of_day() and is_weekend() equal SimClock::hour_of_day(t) and
+/// clock.is_weekend(t) bit for bit. Exactness needs every grid point to
+/// be a whole number of seconds and SimClock's own double arithmetic to
+/// be exact there, so the constructor requires an integral non-negative
+/// t0, an integral positive step, and `points` steps that stay below
+/// 2^40 s (~35,000 years); it throws InvalidArgument otherwise.
+class GridCalendar {
+ public:
+  GridCalendar(const SimClock& clock, SimTime t0, double step_s, std::size_t points);
+
+  /// Move to the next grid point.
+  void advance() {
+    second_of_day_ += step_s_;
+    if (second_of_day_ >= kDaySeconds) {
+      day_ += second_of_day_ / kDaySeconds;
+      second_of_day_ %= kDaySeconds;
+      weekend_ = clock_.weekday_of_day(day_) >= 5;
+    }
+  }
+
+  [[nodiscard]] double hour_of_day() const {
+    return static_cast<double>(second_of_day_) / kHour;
+  }
+  [[nodiscard]] bool is_weekend() const { return weekend_; }
+
+ private:
+  static constexpr std::int64_t kDaySeconds = 86400;
+
+  SimClock clock_;
+  std::int64_t step_s_;
+  std::int64_t day_;
+  std::int64_t second_of_day_;
+  bool weekend_;
 };
 
 }  // namespace bblab

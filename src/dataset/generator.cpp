@@ -143,13 +143,13 @@ struct Toolkit {
 };
 
 /// Simulate one observation window and summarize it through a collector.
-/// `ws` is the worker thread's reusable fluid-engine scratch state.
+/// `ws` is the worker thread's reusable simulation scratch state.
 measurement::UsageSummary observe(const Toolkit& kit, const StudyConfig& config,
                                   const AccessLink& link,
                                   const netsim::WorkloadParams& wp, SimTime t0,
                                   double window_days, double bin_s, bool gateway,
                                   std::uint64_t stream_id, Rng& rng,
-                                  netsim::FluidWorkspace& ws) {
+                                  measurement::HouseholdWorkspace& ws) {
   measurement::HouseholdTask task;
   task.stream_id = stream_id;  // keys this household's fault substream
   task.workload = wp;
@@ -176,10 +176,11 @@ struct UserOutcome {
 
 /// Wrap a per-user simulation body with failure isolation: an exception
 /// becomes a quarantined outcome instead of killing the whole run.
-/// `ws` is the calling worker's fluid workspace, forwarded to the body
-/// (run() resets it on entry, so a mid-simulation throw leaves no state).
+/// `ws` is the calling worker's household workspace, forwarded to the body
+/// (its users reset it on entry, so a mid-simulation throw leaves no
+/// state).
 template <typename Body>
-UserOutcome guarded_user(std::uint64_t user_id, netsim::FluidWorkspace& ws,
+UserOutcome guarded_user(std::uint64_t user_id, measurement::HouseholdWorkspace& ws,
                          const Body& body) {
   try {
     return body(user_id, ws);
@@ -307,9 +308,9 @@ void run_shard_users(const dataset::ShardSpec& spec, core::ThreadPool& pool,
   std::vector<UserOutcome> outcomes(spec.n_users);
   std::atomic<bool> overran{false};
   core::parallel_for(pool, spec.n_users, [&](std::size_t begin, std::size_t end) {
-    // One fluid workspace per block: each worker simulates all its
-    // households allocation-free after the first warms the buffers.
-    netsim::FluidWorkspace ws;
+    // One household workspace per block: each worker simulates all its
+    // households allocation-free per bin after the first warms the buffers.
+    measurement::HouseholdWorkspace ws;
     for (std::size_t u = begin; u < end; ++u) {
       if (deadline != nullptr && deadline->expired()) {
         // First block to notice throws (parallel_for rethrows it after
@@ -397,7 +398,7 @@ ShardOutput StudyGenerator::simulate_shard(
     // bodies shard freely across the pool; outcomes land in id-order
     // slots and are appended in that order.
     const auto simulate_user = [&](std::uint64_t user_id,
-                                     netsim::FluidWorkspace& ws) -> UserOutcome {
+                                     measurement::HouseholdWorkspace& ws) -> UserOutcome {
         UserOutcome out;
         Rng rng = country_rng.fork(user_id);
 
@@ -544,7 +545,7 @@ ShardOutput StudyGenerator::simulate_shard(
     const MarketSnapshot& snap = markets.at(us.code);
     Rng fcc_rng = root.fork(0xFCC);
     const auto simulate_user = [&](std::uint64_t user_id,
-                                     netsim::FluidWorkspace& ws) -> UserOutcome {
+                                     measurement::HouseholdWorkspace& ws) -> UserOutcome {
         UserOutcome out;
         Rng rng = fcc_rng.fork(user_id);
         const Archetype archetype = ArchetypeMix::fcc().sample(rng);

@@ -37,8 +37,9 @@ World::World(std::vector<CountryProfile> countries) : countries_{std::move(count
   std::sort(countries_.begin(), countries_.end(),
             [](const CountryProfile& a, const CountryProfile& b) { return a.code < b.code; });
   for (std::size_t i = 1; i < countries_.size(); ++i) {
-    require(countries_[i - 1].code != countries_[i].code,
-            "World: duplicate country code " + countries_[i].code);
+    if (countries_[i - 1].code == countries_[i].code) {
+      throw InvalidArgument{"World: duplicate country code " + countries_[i].code};
+    }
   }
 }
 
@@ -46,7 +47,9 @@ const CountryProfile& World::at(const std::string& code) const {
   const auto it = std::lower_bound(
       countries_.begin(), countries_.end(), code,
       [](const CountryProfile& c, const std::string& k) { return c.code < k; });
-  require(it != countries_.end() && it->code == code, "World: unknown country " + code);
+  if (it == countries_.end() || it->code != code) {
+    throw InvalidArgument{"World: unknown country " + code};
+  }
   return *it;
 }
 

@@ -37,12 +37,28 @@ class DasuCollector {
 
   /// Observe a user's ground-truth traffic. `phase_shift_hours` is the
   /// user's personal diurnal phase (availability follows their rhythm).
+  /// The bins must lie on a whole-second grid (GridCalendar).
   [[nodiscard]] UsageSeries collect(const netsim::BinnedUsage& truth,
                                     double phase_shift_hours, Rng& rng) const;
+
+  /// The same observation reduced straight to its summary, without the
+  /// series: the same draws in the same order as collect, and equal to
+  /// summarize(collect(truth, phase_shift_hours, rng)) field for field.
+  /// `scratch` holds the sample columns; once it has held a household of
+  /// this size the call allocates nothing.
+  [[nodiscard]] UsageSummary collect_summary(const netsim::BinnedUsage& truth,
+                                             double phase_shift_hours, Rng& rng,
+                                             SummaryColumns& scratch) const;
 
   [[nodiscard]] const DasuCollectorParams& params() const { return params_; }
 
  private:
+  /// The one sampling loop behind collect and collect_summary: calls
+  /// `sink(time, interval_s, down, up, bt_active)` for each sample taken.
+  template <typename Sink>
+  void sample(const netsim::BinnedUsage& truth, double phase_shift_hours, Rng& rng,
+              Sink&& sink) const;
+
   DasuCollectorParams params_;
   netsim::DiurnalModel diurnal_;
 };

@@ -6,6 +6,7 @@
 
 #include "core/error.h"
 #include "core/hash.h"
+#include "obs/span.h"
 
 namespace bblab::measurement {
 
@@ -55,13 +56,14 @@ void apply_faults(UsageSeries& series, const faults::HouseholdFaults& household)
 
 HouseholdResult simulate_household(const PipelineToolkit& kit,
                                    const HouseholdTask& task, Rng& rng,
-                                   netsim::FluidWorkspace* workspace) {
+                                   HouseholdWorkspace* workspace) {
   require(kit.workload != nullptr, "simulate_household: workload generator required");
   require(task.bins > 0, "simulate_household: need at least one bin");
   const SimTime t1 = task.t0 + static_cast<double>(task.bins) * task.bin_width_s;
 
+  const bool faulted = kit.faults != nullptr && !kit.faults->empty();
   faults::HouseholdFaults household;
-  if (kit.faults != nullptr && !kit.faults->empty()) {
+  if (faulted) {
     household = faults::materialize(*kit.faults, task.stream_id, task.t0, t1);
     if (household.fail_household) {
       throw InjectedFault{"injected household failure (stream " +
@@ -69,19 +71,32 @@ HouseholdResult simulate_household(const PipelineToolkit& kit,
     }
   }
 
+  HouseholdWorkspace local;
+  HouseholdWorkspace& ws = workspace != nullptr ? *workspace : local;
   HouseholdResult result;
-  const auto flows = kit.workload->generate(task.workload, task.link, task.t0, t1, rng);
-  const netsim::FluidLinkSimulator sim{task.link, kit.tcp};
-  netsim::FluidWorkspace local;
-  result.truth = sim.run(flows, task.t0, task.bins, task.bin_width_s,
-                         workspace != nullptr ? *workspace : local);
+  std::vector<netsim::Flow> flows;
+  {
+    OBS_SPAN("measure.workload");
+    flows = kit.workload->generate(task.workload, task.link, task.t0, t1, rng);
+  }
+  {
+    OBS_SPAN("measure.fluid");
+    const netsim::FluidLinkSimulator sim{task.link, kit.tcp};
+    result.truth = sim.run(flows, task.t0, task.bins, task.bin_width_s, ws.fluid);
+  }
+  OBS_SPAN("measure.collect");
   if (task.collector == CollectorKind::kGateway) {
     require(kit.gateway != nullptr, "simulate_household: gateway collector required");
     result.series = kit.gateway->collect(result.truth);
   } else {
     require(kit.dasu != nullptr, "simulate_household: dasu collector required");
-    result.series =
-        kit.dasu->collect(result.truth, task.workload.phase_shift_hours, rng);
+    const double phase = task.workload.phase_shift_hours;
+    if (!faulted) {
+      // Nothing edits the samples, so summarize them as they are taken.
+      result.summary = kit.dasu->collect_summary(result.truth, phase, rng, ws.columns);
+      return result;
+    }
+    result.series = kit.dasu->collect(result.truth, phase, rng);
   }
   apply_faults(result.series, household);
   result.summary = summarize(result.series);
@@ -93,13 +108,13 @@ std::vector<HouseholdResult> parallel_simulate_households(
     const Rng& base, core::ThreadPool& pool) {
   std::vector<HouseholdResult> results(tasks.size());
   core::parallel_for(pool, tasks.size(), [&](std::size_t begin, std::size_t end) {
-    // One fluid workspace per contiguous block (the work-stealing pool
+    // One workspace per contiguous block (the work-stealing pool
     // over-partitions into several blocks per worker): the scratch
     // buffers warm up on the first household and every later one in the
     // block simulates allocation-free. Each household still forks its
     // own Rng substream by stable stream id, so results do not depend on
     // how blocks land on threads.
-    netsim::FluidWorkspace workspace;
+    HouseholdWorkspace workspace;
     for (std::size_t i = begin; i < end; ++i) {
       Rng rng = base.fork(tasks[i].stream_id);
       results[i] = simulate_household(kit, tasks[i], rng, &workspace);

@@ -62,8 +62,23 @@ void fingerprint(core::Hasher& hasher, const HouseholdTask& task);
 
 struct HouseholdResult {
   netsim::BinnedUsage truth;  ///< simulator ground truth
-  UsageSeries series;         ///< what the instrument observed
+  /// What the instrument observed. Empty for a Dasu household simulated
+  /// without an active fault plan: that path summarizes the samples as
+  /// they are taken (DasuCollector::collect_summary) and never builds
+  /// the series. Gateway households, and every household under a
+  /// non-empty fault plan (apply_faults edits the series before it is
+  /// summarized), carry the full series.
+  UsageSeries series;
   UsageSummary summary;       ///< the per-user demand metrics
+};
+
+/// Per-worker scratch for simulate_household: the fluid engine's buffers
+/// and the collector's summary columns. Batch drivers keep one per block
+/// of households, so every household after the first simulates and
+/// summarizes without per-bin allocation.
+struct HouseholdWorkspace {
+  netsim::FluidWorkspace fluid;
+  SummaryColumns columns;
 };
 
 /// Shared read-only simulation components. All referenced objects must
@@ -92,14 +107,13 @@ void apply_faults(UsageSeries& series, const faults::HouseholdFaults& household)
 /// observed series; a household selected for hard failure throws
 /// InjectedFault.
 ///
-/// `workspace` is the fluid engine's reusable scratch state: batch
-/// drivers pass one per worker thread so every household-window after the
-/// first runs with zero simulator allocations. Null falls back to a
-/// per-call workspace (identical output, just slower).
+/// `workspace` is reusable scratch state: batch drivers pass one per
+/// worker thread so every household-window after the first runs without
+/// per-bin allocations. Null falls back to a per-call workspace
+/// (identical output, just slower).
 [[nodiscard]] HouseholdResult simulate_household(const PipelineToolkit& kit,
                                                  const HouseholdTask& task, Rng& rng,
-                                                 netsim::FluidWorkspace* workspace =
-                                                     nullptr);
+                                                 HouseholdWorkspace* workspace = nullptr);
 
 /// Simulate every task, sharded across `pool`, merging results in task
 /// order. Household i uses base.fork(tasks[i].stream_id); output is

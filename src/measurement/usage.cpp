@@ -1,48 +1,47 @@
 #include "measurement/usage.h"
 
-#include <vector>
+#include <span>
 
 #include "stats/quantile.h"
 
 namespace bblab::measurement {
+namespace {
 
-UsageSummary summarize(const UsageSeries& series) {
+double sum_in_order(std::span<const double> xs) {
+  double sum = 0.0;
+  for (const double x : xs) sum += x;
+  return sum;
+}
+
+}  // namespace
+
+UsageSummary summarize(SummaryColumns& columns) {
   UsageSummary s;
-  s.samples = series.samples.size();
-  if (series.empty()) return s;
-
-  std::vector<double> down;
-  std::vector<double> up;
-  std::vector<double> down_no_bt;
-  down.reserve(s.samples);
-  up.reserve(s.samples);
-  down_no_bt.reserve(s.samples);
-  double down_sum = 0.0;
-  double up_sum = 0.0;
-  double down_no_bt_sum = 0.0;
-  for (const auto& sample : series.samples) {
-    down.push_back(sample.down.bps());
-    up.push_back(sample.up.bps());
-    down_sum += sample.down.bps();
-    up_sum += sample.up.bps();
-    if (!sample.bt_active) {
-      down_no_bt.push_back(sample.down.bps());
-      down_no_bt_sum += sample.down.bps();
-    }
-  }
-  s.samples_no_bt = down_no_bt.size();
+  s.samples = columns.down.size();
+  s.samples_no_bt = columns.down_no_bt.size();
+  if (s.samples == 0) return s;
 
   const auto n = static_cast<double>(s.samples);
-  s.mean_down = Rate::from_bps(down_sum / n);
-  s.mean_up = Rate::from_bps(up_sum / n);
-  s.peak_down = Rate::from_bps(stats::p95(down));
-  s.peak_up = Rate::from_bps(stats::p95(up));
-  if (!down_no_bt.empty()) {
-    s.mean_down_no_bt =
-        Rate::from_bps(down_no_bt_sum / static_cast<double>(down_no_bt.size()));
-    s.peak_down_no_bt = Rate::from_bps(stats::p95(down_no_bt));
+  s.mean_down = Rate::from_bps(sum_in_order(columns.down) / n);
+  s.mean_up = Rate::from_bps(sum_in_order(columns.up) / n);
+  s.peak_down = Rate::from_bps(stats::quantile_select(columns.down, 0.95));
+  s.peak_up = Rate::from_bps(stats::quantile_select(columns.up, 0.95));
+  if (s.samples_no_bt > 0) {
+    s.mean_down_no_bt = Rate::from_bps(sum_in_order(columns.down_no_bt) /
+                                       static_cast<double>(s.samples_no_bt));
+    s.peak_down_no_bt =
+        Rate::from_bps(stats::quantile_select(columns.down_no_bt, 0.95));
   }
   return s;
+}
+
+UsageSummary summarize(const UsageSeries& series) {
+  SummaryColumns columns;
+  columns.reserve(series.size());
+  for (const auto& sample : series.samples) {
+    columns.add(sample.down, sample.up, sample.bt_active);
+  }
+  return summarize(columns);
 }
 
 }  // namespace bblab::measurement

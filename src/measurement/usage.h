@@ -51,6 +51,36 @@ struct UsageSummary {
   friend bool operator==(const UsageSummary&, const UsageSummary&) = default;
 };
 
+/// The three sample columns a UsageSummary is computed from, in sample
+/// order: down and up rate of every sample, and down rate of the samples
+/// without BitTorrent activity. Reused across households as scratch, so
+/// after the first household filling it allocates nothing.
+struct SummaryColumns {
+  std::vector<double> down;
+  std::vector<double> up;
+  std::vector<double> down_no_bt;
+
+  void clear() {
+    down.clear();
+    up.clear();
+    down_no_bt.clear();
+  }
+  void reserve(std::size_t samples) {
+    down.reserve(samples);
+    up.reserve(samples);
+    down_no_bt.reserve(samples);
+  }
+  void add(Rate down_rate, Rate up_rate, bool bt_active) {
+    down.push_back(down_rate.bps());
+    up.push_back(up_rate.bps());
+    if (!bt_active) down_no_bt.push_back(down_rate.bps());
+  }
+};
+
+/// Summarize sample columns. Means sum in sample order; peaks are p95 by
+/// selection (stats::quantile_select), which reorders the columns.
+[[nodiscard]] UsageSummary summarize(SummaryColumns& columns);
+
 [[nodiscard]] UsageSummary summarize(const UsageSeries& series);
 
 }  // namespace bblab::measurement

@@ -28,7 +28,17 @@ class DiurnalModel {
 
   /// Activity multiplier at simulation time `t` for a user whose personal
   /// peak is shifted by `phase_shift_hours` from the population's.
-  [[nodiscard]] double activity(SimTime t, double phase_shift_hours = 0.0) const;
+  [[nodiscard]] double activity(SimTime t, double phase_shift_hours = 0.0) const {
+    return activity_at(SimClock::hour_of_day(t), clock_.is_weekend(t),
+                       phase_shift_hours);
+  }
+
+  /// The activity formula on calendar coordinates: `hour_of_day` in
+  /// [0, 24) and whether the day is a weekend. activity(t) is exactly
+  /// this at t's coordinates, so a caller walking a GridCalendar gets
+  /// the same bits without the per-point calendar arithmetic.
+  [[nodiscard]] double activity_at(double hour_of_day, bool weekend,
+                                   double phase_shift_hours = 0.0) const;
 
   /// Draw a per-user phase shift.
   [[nodiscard]] double sample_phase(Rng& rng) const {
@@ -36,6 +46,7 @@ class DiurnalModel {
   }
 
   [[nodiscard]] const DiurnalParams& params() const { return params_; }
+  [[nodiscard]] const SimClock& clock() const { return clock_; }
 
  private:
   DiurnalParams params_;

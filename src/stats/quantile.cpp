@@ -46,6 +46,31 @@ double quantile(std::span<const double> xs, double q) {
   return quantile_sorted(copy, q);
 }
 
+double quantile_select(std::span<double> xs, double q) {
+  require(q >= 0.0 && q <= 1.0, "quantile: q must be in [0,1]");
+  // Drop NaNs in place (the same branchless compaction as sorted_finite).
+  std::size_t n = 0;
+  for (const double x : xs) {
+    xs[n] = x;
+    n += static_cast<std::size_t>(x == x);  // NOLINT(misc-redundant-expression)
+  }
+  if (n == 0) return 0.0;
+  if (n == 1) return xs[0];
+  // The interpolation of quantile_sorted, on the two order statistics.
+  const double h = static_cast<double>(n - 1) * q;
+  const auto lo = static_cast<std::size_t>(std::floor(h));
+  const auto first = xs.begin();
+  std::nth_element(first, first + static_cast<std::ptrdiff_t>(lo),
+                   first + static_cast<std::ptrdiff_t>(n));
+  const double at_lo = xs[lo];
+  const double at_hi =
+      lo + 1 < n ? *std::min_element(first + static_cast<std::ptrdiff_t>(lo + 1),
+                                     first + static_cast<std::ptrdiff_t>(n))
+                 : at_lo;
+  const double frac = h - static_cast<double>(lo);
+  return at_lo + frac * (at_hi - at_lo);
+}
+
 double iqr(std::span<const double> xs) {
   const auto copy = sorted_finite(xs);
   if (copy.empty()) return 0.0;

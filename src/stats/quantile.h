@@ -29,6 +29,14 @@ namespace bblab::stats {
 [[nodiscard]] std::vector<double> quantiles_sorted(std::span<const double> sorted,
                                                    std::span<const double> qs);
 
+/// quantile(xs, q) by selection instead of a sort, for a caller that owns
+/// a scratch buffer: the same value bit for bit (type 7 reads only the
+/// order statistics at floor(h) and floor(h)+1, so nth_element plus a
+/// min over the upper part suffices, and signed zeros cannot change the
+/// interpolated result), NaNs dropped, empty -> 0. O(n) and no
+/// allocation; leaves `xs` in an unspecified order.
+[[nodiscard]] double quantile_select(std::span<double> xs, double q);
+
 /// Convenience percentile wrappers.
 [[nodiscard]] inline double median(std::span<const double> xs) { return quantile(xs, 0.5); }
 [[nodiscard]] inline double p95(std::span<const double> xs) { return quantile(xs, 0.95); }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <numeric>
 
 #include "core/rng.h"
@@ -131,6 +133,60 @@ TEST(DasuCollector, ZeroAvailabilityFloorFollowsDiurnalOnly) {
   // Sparse sampling must not distort the reconstructed rate.
   for (const auto& s : series.samples) {
     EXPECT_NEAR(s.down.mbps(), 1.0, 0.01);
+  }
+}
+
+/// Bursty ground truth over whole days: lognormal bin volumes (large
+/// enough to wrap a 32-bit counter within the window), and, when `bt`,
+/// BitTorrent activity in about a third of the bins.
+netsim::BinnedUsage random_truth(Rng& rng, std::size_t bins, bool bt) {
+  netsim::BinnedUsage truth;
+  truth.start = std::floor(rng.uniform(0.0, 3.0 * 364.0)) * kDay;
+  truth.bin_width_s = 30.0;
+  for (std::size_t i = 0; i < bins; ++i) {
+    truth.down_bytes.push_back(rng.bernoulli(0.2) ? 0.0 : rng.lognormal(15.0, 2.0));
+    truth.up_bytes.push_back(rng.lognormal(12.0, 1.5));
+    truth.bt_active_s.push_back(bt && rng.bernoulli(0.3) ? rng.uniform(1.0, 30.0) : 0.0);
+  }
+  return truth;
+}
+
+void expect_same_summary(const UsageSummary& a, const UsageSummary& b) {
+  EXPECT_EQ(a.mean_down.bps(), b.mean_down.bps());
+  EXPECT_EQ(a.peak_down.bps(), b.peak_down.bps());
+  EXPECT_EQ(a.mean_down_no_bt.bps(), b.mean_down_no_bt.bps());
+  EXPECT_EQ(a.peak_down_no_bt.bps(), b.peak_down_no_bt.bps());
+  EXPECT_EQ(a.mean_up.bps(), b.mean_up.bps());
+  EXPECT_EQ(a.peak_up.bps(), b.peak_up.bps());
+  EXPECT_EQ(a.samples, b.samples);
+  EXPECT_EQ(a.samples_no_bt, b.samples_no_bt);
+}
+
+TEST(DasuCollector, FusedSummaryEqualsSummarizedSeries) {
+  // collect_summary must make the same draws and produce the same fields
+  // as summarize(collect(...)), for both counter kinds and with and
+  // without BitTorrent, while one scratch is reused across households.
+  SummaryColumns scratch;
+  for (const double upnp_share : {0.0, 1.0}) {
+    DasuCollectorParams params;
+    params.upnp_share = upnp_share;
+    const DasuCollector collector{params, diurnal()};
+    for (const bool bt : {false, true}) {
+      for (std::uint64_t seed = 1; seed <= 50; ++seed) {
+        Rng truth_rng{seed * 7919 + (bt ? 1 : 0)};
+        const auto truth = random_truth(truth_rng, 200 + 37 * seed, bt);
+        const double phase = truth_rng.normal(0.0, 1.5);
+        Rng a{seed};
+        Rng b{seed};
+        const auto series = collector.collect(truth, phase, a);
+        const auto fused = collector.collect_summary(truth, phase, b, scratch);
+        expect_same_summary(fused, summarize(series));
+        EXPECT_EQ(a.next_u64(), b.next_u64()) << "draw counts differ, seed " << seed;
+        if (bt) {
+          EXPECT_LT(fused.samples_no_bt, fused.samples);
+        }
+      }
+    }
   }
 }
 

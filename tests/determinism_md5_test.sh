@@ -2,9 +2,22 @@
 # Determinism acceptance check for the work-stealing pool: the full
 # dataset (every generated CSV) and the figure renderings must be
 # byte-identical — compared by md5 — no matter how many threads the
-# engine schedules across. Steal order is adversarially timing-dependent,
+# engine schedules across, and equal to the golden digests pinned below. Steal order is adversarially timing-dependent,
 # so any ordering leak into results shows up here as an md5 mismatch.
 set -u
+
+# Golden digests of the seed-99 outputs below. They pin the exact bytes
+# the pipeline produces, so a change meant to keep every output identical
+# (an exact rewrite of a hot path) is checked here rather than by eye. A
+# change that alters simulation semantics must bump
+# kPipelineSemanticsVersion and update these together.
+EXPECTED_DATASET=d495beab92a3fd0e08b843246f09e143
+declare -A EXPECTED_FIGURE=(
+  [fig1]=bdb85f331edde708ca4a42623baa02fb
+  [fig2]=fecca2d68ef94a572bc783ec66ec7586
+  [fig6]=d5eba37890050e431fada1870ae268bf
+  [fig10]=dd17027d3e93bcd87014395822de4daa
+)
 
 BBLAB=$1
 WORK=$(mktemp -d)
@@ -29,6 +42,8 @@ for t in 1 2 8; do
 done
 base=$(md5_tree "$WORK/gen1")
 echo "dataset md5 @1 thread: $base"
+[ "$base" = "$EXPECTED_DATASET" ] \
+  || fail "dataset md5 $base != golden $EXPECTED_DATASET"
 for t in 2 8; do
   got=$(md5_tree "$WORK/gen$t")
   [ "$got" = "$base" ] || fail "dataset md5 differs at $t threads: $got != $base"
@@ -58,6 +73,8 @@ for fig in fig1 fig2 fig6 fig10; do
     || fail "figure $fig --threads 1 exited non-zero"
   base=$(md5sum <"$WORK/$fig.1" | cut -d' ' -f1)
   echo "$fig md5 @1 thread: $base"
+  [ "$base" = "${EXPECTED_FIGURE[$fig]}" ] \
+    || fail "$fig md5 $base != golden ${EXPECTED_FIGURE[$fig]}"
   for t in 2 8; do
     "$BBLAB" figure "$fig" $ARGS --threads "$t" >"$WORK/$fig.$t" 2>/dev/null \
       || fail "figure $fig --threads $t exited non-zero"

@@ -48,6 +48,27 @@ TEST(Diurnal, SamplePhaseIsCentered) {
   EXPECT_NEAR(sum / 10000.0, 0.0, 0.05);
 }
 
+TEST(Diurnal, ActivityAtGridCalendarEqualsActivity) {
+  // activity_at on integer calendar coordinates must reproduce
+  // activity(t) bit for bit on every 30 s boundary of a two-week window,
+  // in each of the first four study years and for shifted phases.
+  const auto m = model();
+  for (int year = 0; year < 4; ++year) {
+    const SimTime t0 = year * kYear + 40 * kDay;
+    constexpr std::size_t kPoints = 2 * 7 * 2880;
+    GridCalendar cal{m.clock(), t0, 30.0, kPoints};
+    for (std::size_t i = 1; i <= kPoints; ++i) {
+      cal.advance();
+      const SimTime t = t0 + static_cast<double>(i) * 30.0;
+      for (const double phase : {0.0, -2.7, 1.3}) {
+        ASSERT_EQ(m.activity_at(cal.hour_of_day(), cal.is_weekend(), phase),
+                  m.activity(t, phase))
+            << "t=" << t << " phase=" << phase;
+      }
+    }
+  }
+}
+
 TEST(Diurnal, SmoothCurve) {
   const auto m = model();
   // No discontinuities larger than what a 1-minute step implies.

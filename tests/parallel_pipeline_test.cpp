@@ -35,11 +35,12 @@ struct PipelineFixture {
   measurement::DasuCollector dasu{measurement::DasuCollectorParams{}, diurnal};
   measurement::GatewayCollector gateway{};
 
-  [[nodiscard]] PipelineToolkit kit() const {
+  [[nodiscard]] PipelineToolkit kit(const faults::FaultPlan* plan = nullptr) const {
     PipelineToolkit k;
     k.workload = &workload;
     k.dasu = &dasu;
     k.gateway = &gateway;
+    k.faults = plan;
     return k;
   }
 
@@ -92,23 +93,78 @@ void expect_identical(const HouseholdResult& a, const HouseholdResult& b,
   ASSERT_EQ(a.summary.samples_no_bt, b.summary.samples_no_bt) << household;
 }
 
+/// Series-level faults on every household but no hard failures. An
+/// active plan makes every household keep its observed series, so the
+/// series comparisons below see real samples.
+faults::FaultPlan series_faults() {
+  faults::FaultPlan plan;
+  plan.churn_probability = 0.3;
+  plan.reset_probability = 0.3;
+  plan.spurious_wrap_probability = 0.3;
+  plan.clock_skew_probability = 0.5;
+  return plan;
+}
+
+/// The number of Dasu households (tasks i % 3 != 0) with a non-empty
+/// observed series.
+std::size_t dasu_series_count(const std::vector<HouseholdResult>& results) {
+  std::size_t n = 0;
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    if (i % 3 != 0 && !results[i].series.empty()) ++n;
+  }
+  return n;
+}
+
 TEST(ParallelPipeline, ByteIdenticalAcrossThreadCounts) {
   const PipelineFixture fx;
   const auto tasks = fx.make_tasks(23);
   const Rng base{2014};
+  const auto plan = series_faults();
 
-  core::ThreadPool pool1{1};
-  const auto serial =
-      measurement::parallel_simulate_households(fx.kit(), tasks, base, pool1);
-  ASSERT_EQ(serial.size(), tasks.size());
-  for (const std::size_t threads : {2u, 8u}) {
-    core::ThreadPool pool{threads};
-    const auto parallel =
-        measurement::parallel_simulate_households(fx.kit(), tasks, base, pool);
-    ASSERT_EQ(parallel.size(), serial.size());
-    for (std::size_t i = 0; i < serial.size(); ++i) {
-      expect_identical(serial[i], parallel[i], i);
+  // Clean runs compare summaries (Dasu households keep no series);
+  // faulted runs also compare every observed sample.
+  for (const bool faulted : {false, true}) {
+    const auto kit = fx.kit(faulted ? &plan : nullptr);
+    core::ThreadPool pool1{1};
+    const auto serial = measurement::parallel_simulate_households(kit, tasks, base, pool1);
+    ASSERT_EQ(serial.size(), tasks.size());
+    if (faulted) {
+      EXPECT_GE(dasu_series_count(serial), 10u);  // of 15 Dasu households
+    } else {
+      EXPECT_EQ(dasu_series_count(serial), 0u);
     }
+    for (const std::size_t threads : {2u, 8u}) {
+      core::ThreadPool pool{threads};
+      const auto parallel =
+          measurement::parallel_simulate_households(kit, tasks, base, pool);
+      ASSERT_EQ(parallel.size(), serial.size());
+      for (std::size_t i = 0; i < serial.size(); ++i) {
+        expect_identical(serial[i], parallel[i], i);
+      }
+    }
+  }
+}
+
+TEST(ParallelPipeline, FusedSummaryEqualsMaterializedSeries) {
+  // Without a fault plan a Dasu household is summarized as it is
+  // sampled. A plan that only mangles CSV rows is active, so the series
+  // is materialized and then summarized, yet it leaves every sample
+  // untouched: both paths must agree field for field and in RNG draws.
+  const PipelineFixture fx;
+  const auto tasks = fx.make_tasks(60);
+  faults::FaultPlan csv_only;
+  csv_only.row_duplicate_probability = 0.5;
+  measurement::HouseholdWorkspace ws;
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    if (tasks[i].collector != CollectorKind::kDasu) continue;
+    Rng a = Rng{31}.fork(tasks[i].stream_id);
+    Rng b = a;
+    const auto fused = measurement::simulate_household(fx.kit(), tasks[i], a, &ws);
+    const auto series = measurement::simulate_household(fx.kit(&csv_only), tasks[i], b);
+    EXPECT_TRUE(fused.series.empty());
+    ASSERT_FALSE(series.series.empty());
+    EXPECT_EQ(fused.summary, series.summary) << i;
+    EXPECT_EQ(a.next_u64(), b.next_u64()) << i;
   }
 }
 
@@ -142,14 +198,16 @@ TEST(ParallelPipeline, ByteIdenticalUnderAdversarialCostSkew) {
   }
   const Rng base{2014};
 
+  const auto plan = series_faults();
   core::ThreadPool pool1{1};
   const auto serial =
-      measurement::parallel_simulate_households(fx.kit(), tasks, base, pool1);
+      measurement::parallel_simulate_households(fx.kit(&plan), tasks, base, pool1);
   ASSERT_EQ(serial.size(), tasks.size());
+  EXPECT_GT(dasu_series_count(serial), 0u);
   for (const std::size_t threads : {2u, 8u}) {
     core::ThreadPool pool{threads};
     const auto parallel =
-        measurement::parallel_simulate_households(fx.kit(), tasks, base, pool);
+        measurement::parallel_simulate_households(fx.kit(&plan), tasks, base, pool);
     ASSERT_EQ(parallel.size(), serial.size());
     for (std::size_t i = 0; i < serial.size(); ++i) {
       expect_identical(serial[i], parallel[i], i);

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -116,6 +118,62 @@ TEST(QuantileSorted, RejectsNanWithClearError) {
   EXPECT_DOUBLE_EQ(quantile_sorted(sorted, 0.0), 1.0);
   const std::vector<double> single{nan};
   EXPECT_THROW((void)quantile_sorted(single, 0.5), InvalidArgument);
+}
+
+// quantile_select must give quantile()'s exact bits: compare as integers.
+void expect_select_matches(const std::vector<double>& xs, double q) {
+  std::vector<double> scratch = xs;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(quantile_select(scratch, q)),
+            std::bit_cast<std::uint64_t>(quantile(xs, q)))
+      << "n=" << xs.size() << " q=" << q;
+}
+
+TEST(QuantileSelect, BitIdenticalToP95AcrossSizes) {
+  Rng rng{95};
+  // 20 and 21 put floor(0.95 (n-1)) on either side of an exact index;
+  // 2048 and above take quantile()'s radix-sort path.
+  for (const std::size_t n : {1u, 2u, 3u, 20u, 21u, 100u, 2047u, 2048u, 5000u}) {
+    std::vector<double> xs;
+    for (std::size_t i = 0; i < n; ++i) xs.push_back(rng.lognormal(10, 2));
+    std::vector<double> scratch = xs;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(quantile_select(scratch, 0.95)),
+              std::bit_cast<std::uint64_t>(p95(xs)))
+        << "n=" << n;
+    for (const double q : {0.0, 0.25, 0.5, 0.9, 0.95, 0.99, 1.0}) {
+      expect_select_matches(xs, q);
+    }
+  }
+}
+
+TEST(QuantileSelect, BitIdenticalOnTiesZerosAndSignedZeros) {
+  for (const std::size_t n : {1u, 2u, 20u, 21u, 3000u}) {
+    const std::vector<double> zeros(n, 0.0);
+    expect_select_matches(zeros, 0.95);
+    std::vector<double> scratch = zeros;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(quantile_select(scratch, 0.95)), 0u);
+    std::vector<double> ties;
+    for (std::size_t i = 0; i < n; ++i) ties.push_back(static_cast<double>(i % 3));
+    expect_select_matches(ties, 0.95);
+    // The radix sort orders -0.0 before +0.0, nth_element does not: the
+    // interpolated value must not care.
+    std::vector<double> signed_zeros;
+    for (std::size_t i = 0; i < n; ++i) {
+      signed_zeros.push_back(i % 2 == 0 ? -0.0 : 0.0);
+    }
+    for (const double q : {0.0, 0.5, 0.95, 1.0}) expect_select_matches(signed_zeros, q);
+    signed_zeros.back() = 7.0;
+    for (const double q : {0.0, 0.5, 0.95, 1.0}) expect_select_matches(signed_zeros, q);
+  }
+}
+
+TEST(QuantileSelect, DropsNanAndTreatsEmptyAsZero) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  expect_select_matches({nan, 3.0, 1.0, nan, 2.0, 5.0}, 0.95);
+  expect_select_matches({nan, nan}, 0.95);
+  std::vector<double> empty;
+  EXPECT_EQ(quantile_select(empty, 0.95), 0.0);
+  std::vector<double> xs{1.0};
+  EXPECT_THROW((void)quantile_select(xs, 1.5), InvalidArgument);
 }
 
 // Property sweep: monotonicity and bounds over random samples.

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/error.h"
+
 namespace bblab {
 namespace {
 
@@ -46,6 +48,43 @@ TEST(SimClock, LabelFormat) {
   EXPECT_EQ(clock.label(0.0), "2011-w00 day0 00:00");
   EXPECT_EQ(clock.label(kYear + kWeek * 3 + kDay * 2 + kHour * 14 + kMinute * 30),
             "2012-w03 day2 14:30");
+}
+
+TEST(GridCalendar, MatchesSimClockOnEveryGridPoint) {
+  // Two weeks of 30 s boundaries from whole-day starts in years 0-3, for
+  // every epoch weekday, plus an off-day start and a step over a day.
+  for (int epoch_weekday = 0; epoch_weekday < 7; ++epoch_weekday) {
+    const SimClock clock{2011, epoch_weekday};
+    for (int year = 0; year < 4; ++year) {
+      for (const double t0 : {year * kYear + 17 * kDay, year * kYear + 7 * kHour + 31}) {
+        constexpr std::size_t kPoints = 2 * 7 * 2880;
+        GridCalendar cal{clock, t0, 30.0, kPoints};
+        for (std::size_t i = 1; i <= kPoints; ++i) {
+          cal.advance();
+          const SimTime t = t0 + static_cast<double>(i) * 30.0;
+          ASSERT_EQ(cal.hour_of_day(), SimClock::hour_of_day(t)) << t;
+          ASSERT_EQ(cal.is_weekend(), clock.is_weekend(t)) << t;
+        }
+      }
+    }
+    GridCalendar days{clock, 3 * kDay, 90000.0, 30};
+    for (int i = 1; i <= 30; ++i) {
+      days.advance();
+      const SimTime t = 3 * kDay + i * 90000.0;
+      ASSERT_EQ(days.hour_of_day(), SimClock::hour_of_day(t)) << t;
+      ASSERT_EQ(days.is_weekend(), clock.is_weekend(t)) << t;
+    }
+  }
+}
+
+TEST(GridCalendar, RejectsGridsOffWholeSeconds) {
+  const SimClock clock{2011};
+  EXPECT_THROW((GridCalendar{clock, 0.5, 30.0, 10}), InvalidArgument);
+  EXPECT_THROW((GridCalendar{clock, 0.0, 30.25, 10}), InvalidArgument);
+  EXPECT_THROW((GridCalendar{clock, 0.0, 0.0, 10}), InvalidArgument);
+  EXPECT_THROW((GridCalendar{clock, -kDay, 30.0, 10}), InvalidArgument);
+  EXPECT_THROW((GridCalendar{clock, 0.0, 30.0, std::size_t{1} << 40}), InvalidArgument);
+  EXPECT_NO_THROW((GridCalendar{clock, 4 * kYear, 30.0, 2880}));
 }
 
 TEST(TimeConstants, AreConsistent) {
