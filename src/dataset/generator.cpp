@@ -361,6 +361,12 @@ ShardOutput StudyGenerator::simulate_shard(
     core::ThreadPool& pool, const core::Deadline* deadline) const {
   const std::string shard_label = spec.label();
   OBS_SPAN("simulate_shard", shard_label);
+  if (obs::tracing_enabled()) {
+    // One thread may simulate the whole shard, and a user is observed up
+    // to three times (its window, then an upgrade's before and after).
+    // Without the room, the outer spans that close last would be dropped.
+    obs::add_trace_capacity(spec.n_users * 3 * measurement::kSpansPerHousehold);
+  }
   static obs::Histogram& sim_ms =
       obs::Registry::instance().histogram("shard.sim_ms");
   const obs::ScopedTimer shard_timer{sim_ms};

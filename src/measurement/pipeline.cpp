@@ -107,6 +107,8 @@ std::vector<HouseholdResult> parallel_simulate_households(
     const PipelineToolkit& kit, std::span<const HouseholdTask> tasks,
     const Rng& base, core::ThreadPool& pool) {
   std::vector<HouseholdResult> results(tasks.size());
+  // One thread may simulate the whole batch; keep every span it records.
+  if (obs::tracing_enabled()) obs::add_trace_capacity(tasks.size() * kSpansPerHousehold);
   core::parallel_for(pool, tasks.size(), [&](std::size_t begin, std::size_t end) {
     // One workspace per contiguous block (the work-stealing pool
     // over-partitions into several blocks per worker): the scratch

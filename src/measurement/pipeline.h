@@ -99,6 +99,10 @@ struct PipelineToolkit {
 /// spurious wrap, and shift every timestamp by the clock skew.
 void apply_faults(UsageSeries& series, const faults::HouseholdFaults& household);
 
+/// Spans one simulate_household call records when tracing is on:
+/// measure.workload, measure.fluid and measure.collect.
+inline constexpr std::size_t kSpansPerHousehold = 3;
+
 /// Simulate one household end to end, drawing from `rng` in a fixed
 /// order (workload generation first, then collector sampling). When the
 /// toolkit carries a fault plan, the household's fault schedule is

@@ -125,6 +125,16 @@ void set_trace_capacity(std::size_t spans_per_thread) noexcept {
   g_capacity.store(spans_per_thread, std::memory_order_relaxed);
 }
 
+void add_trace_capacity(std::size_t spans) noexcept {
+  BufferRegistry& reg = buffer_registry();
+  const std::lock_guard<std::mutex> lock{reg.mutex};
+  g_capacity.fetch_add(spans, std::memory_order_relaxed);
+  for (const auto& buf : reg.buffers) {
+    const std::lock_guard<std::mutex> block{buf->mutex};
+    buf->capacity += spans;
+  }
+}
+
 namespace detail {
 
 void span_enter(const char* name, const std::string* label) noexcept {

@@ -37,6 +37,12 @@ void set_tracing(bool on) noexcept;
 /// the call; default 8192 (~0.5 MB/thread at full).
 void set_trace_capacity(std::size_t spans_per_thread) noexcept;
 
+/// Make room for `spans` more spans on every thread: raises the capacity
+/// of every existing buffer and of buffers created later. For a producer
+/// that knows how many spans a batch of work records, any share of which
+/// may land on one thread. Memory still grows only with recorded spans.
+void add_trace_capacity(std::size_t spans) noexcept;
+
 /// Totals across every thread buffer (recorded excludes dropped).
 [[nodiscard]] std::size_t recorded_span_count();
 [[nodiscard]] std::size_t dropped_span_count();

@@ -126,15 +126,20 @@ GroupBy group_by_key(std::span<const std::uint64_t> keys) {
   return out;
 }
 
-std::vector<double> sorted_finite(std::span<const double> xs, std::size_t* dropped) {
-  std::vector<double> copy(xs.size());
-  // Branchless compaction: always store, advance the cursor only for
-  // finite-or-infinite values (x == x is false exactly for NaN).
+std::size_t remove_nan(std::span<double> xs) {
+  // Always store, advance the cursor only for finite-or-infinite values
+  // (x == x is false exactly for NaN).
   std::size_t m = 0;
   for (const double x : xs) {
-    copy[m] = x;
+    xs[m] = x;
     m += static_cast<std::size_t>(x == x);  // NOLINT(misc-redundant-expression)
   }
+  return m;
+}
+
+std::vector<double> sorted_finite(std::span<const double> xs, std::size_t* dropped) {
+  std::vector<double> copy(xs.begin(), xs.end());
+  const std::size_t m = remove_nan(copy);
   copy.resize(m);
   if (dropped != nullptr) *dropped = xs.size() - m;
   if (m >= kRadixThreshold) {

@@ -22,6 +22,10 @@
 
 namespace bblab::stats {
 
+/// Move the non-NaN elements of `xs` to its front, keeping their order,
+/// and return how many there are (std::remove for NaN, branchless).
+[[nodiscard]] std::size_t remove_nan(std::span<double> xs);
+
 /// Copy `xs` dropping NaNs, sorted ascending. Branchless compaction +
 /// radix sort for large columns. `dropped`, when given, receives the
 /// number of NaN elements removed.

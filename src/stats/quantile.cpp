@@ -2,11 +2,29 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "core/error.h"
 #include "stats/column.h"
 
 namespace bblab::stats {
+
+namespace {
+
+/// R type 7 on n >= 1 order statistics: h = (n-1) q, interpolated between
+/// the values at floor(h) and floor(h)+1 (clamped to the last).
+/// `bracket(lo)` returns that pair, so sorted and unsorted input share
+/// one formula.
+template <typename Bracket>
+double type7(std::size_t n, double q, Bracket&& bracket) {
+  const double h = static_cast<double>(n - 1) * q;
+  const auto lo = static_cast<std::size_t>(std::floor(h));
+  const auto [at_lo, at_hi] = bracket(lo);
+  if (n == 1) return at_lo;
+  return at_lo + (h - static_cast<double>(lo)) * (at_hi - at_lo);
+}
+
+}  // namespace
 
 double quantile_sorted(std::span<const double> sorted, double q) {
   require(q >= 0.0 && q <= 1.0, "quantile: q must be in [0,1]");
@@ -14,19 +32,12 @@ double quantile_sorted(std::span<const double> sorted, double q) {
     throw EmptyColumn{
         "quantile_sorted: empty column (all inputs NaN-filtered away?)"};
   }
-  if (sorted.size() == 1) {
-    require(!std::isnan(sorted[0]),
+  return type7(sorted.size(), q, [&](std::size_t lo) {
+    const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
+    require(!std::isnan(sorted[lo]) && !std::isnan(sorted[hi]),
             "quantile_sorted: input contains NaN (filter missing values first)");
-    return sorted[0];
-  }
-  // R type 7: h = (n-1) q, interpolate between floor(h) and floor(h)+1.
-  const double h = static_cast<double>(sorted.size() - 1) * q;
-  const auto lo = static_cast<std::size_t>(std::floor(h));
-  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-  require(!std::isnan(sorted[lo]) && !std::isnan(sorted[hi]),
-          "quantile_sorted: input contains NaN (filter missing values first)");
-  const double frac = h - static_cast<double>(lo);
-  return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
+    return std::pair{sorted[lo], sorted[hi]};
+  });
 }
 
 std::vector<double> quantiles_sorted(std::span<const double> sorted,
@@ -38,37 +49,22 @@ std::vector<double> quantiles_sorted(std::span<const double> sorted,
 }
 
 double quantile(std::span<const double> xs, double q) {
-  const auto copy = sorted_finite(xs);
-  if (copy.empty()) {
-    require(q >= 0.0 && q <= 1.0, "quantile: q must be in [0,1]");
-    return 0.0;  // documented lenient contract for the unsorted wrappers
-  }
-  return quantile_sorted(copy, q);
+  std::vector<double> copy(xs.begin(), xs.end());
+  return quantile_select(copy, q);
 }
 
 double quantile_select(std::span<double> xs, double q) {
   require(q >= 0.0 && q <= 1.0, "quantile: q must be in [0,1]");
-  // Drop NaNs in place (the same branchless compaction as sorted_finite).
-  std::size_t n = 0;
-  for (const double x : xs) {
-    xs[n] = x;
-    n += static_cast<std::size_t>(x == x);  // NOLINT(misc-redundant-expression)
-  }
-  if (n == 0) return 0.0;
-  if (n == 1) return xs[0];
-  // The interpolation of quantile_sorted, on the two order statistics.
-  const double h = static_cast<double>(n - 1) * q;
-  const auto lo = static_cast<std::size_t>(std::floor(h));
-  const auto first = xs.begin();
-  std::nth_element(first, first + static_cast<std::ptrdiff_t>(lo),
-                   first + static_cast<std::ptrdiff_t>(n));
-  const double at_lo = xs[lo];
-  const double at_hi =
-      lo + 1 < n ? *std::min_element(first + static_cast<std::ptrdiff_t>(lo + 1),
-                                     first + static_cast<std::ptrdiff_t>(n))
-                 : at_lo;
-  const double frac = h - static_cast<double>(lo);
-  return at_lo + frac * (at_hi - at_lo);
+  const std::size_t n = remove_nan(xs);
+  if (n == 0) return 0.0;  // documented lenient contract for unsorted input
+  // Type 7 reads only two order statistics: select the lower one, and the
+  // upper one is the minimum of what nth_element left above it.
+  return type7(n, q, [&](std::size_t lo) {
+    const auto nth = xs.begin() + static_cast<std::ptrdiff_t>(lo);
+    const auto last = xs.begin() + static_cast<std::ptrdiff_t>(n);
+    std::nth_element(xs.begin(), nth, last);
+    return std::pair{*nth, nth + 1 < last ? *std::min_element(nth + 1, last) : *nth};
+  });
 }
 
 double iqr(std::span<const double> xs) {

@@ -11,7 +11,7 @@
 
 namespace bblab::stats {
 
-/// Quantile q in [0,1] of an UNSORTED sample (copies + sorts internally).
+/// Quantile q in [0,1] of an UNSORTED sample: quantile_select on a copy.
 /// NaN elements are treated as missing and dropped; empty (or all-NaN)
 /// input -> 0.
 [[nodiscard]] double quantile(std::span<const double> xs, double q);
@@ -29,12 +29,13 @@ namespace bblab::stats {
 [[nodiscard]] std::vector<double> quantiles_sorted(std::span<const double> sorted,
                                                    std::span<const double> qs);
 
-/// quantile(xs, q) by selection instead of a sort, for a caller that owns
-/// a scratch buffer: the same value bit for bit (type 7 reads only the
-/// order statistics at floor(h) and floor(h)+1, so nth_element plus a
-/// min over the upper part suffices, and signed zeros cannot change the
-/// interpolated result), NaNs dropped, empty -> 0. O(n) and no
-/// allocation; leaves `xs` in an unspecified order.
+/// quantile(xs, q) in place, for a caller that owns a scratch buffer:
+/// NaNs dropped, empty -> 0, O(n) by selection and no allocation; leaves
+/// `xs` in an unspecified order. Type 7 reads only the order statistics
+/// at floor(h) and floor(h)+1, so nth_element plus a min over the upper
+/// part gives quantile_sorted's value on the sorted sample bit for bit
+/// (signed zeros may come out in either order, and every mix of them
+/// interpolates to the same value).
 [[nodiscard]] double quantile_select(std::span<double> xs, double q);
 
 /// Convenience percentile wrappers.

@@ -153,6 +153,28 @@ TEST_F(ObsTraceTest, CapacityBoundsBufferAndCountsDrops) {
   EXPECT_NE(out.str().find("dropped"), std::string::npos);
 }
 
+TEST_F(ObsTraceTest, AddedCapacityReachesExistingBuffers) {
+  obs::set_trace_capacity(4);
+  obs::reset_spans_for_test();
+  obs::set_tracing(true);
+  { OBS_SPAN("warm"); }  // this thread's buffer exists with capacity 4
+  obs::add_trace_capacity(64);
+  const std::size_t dropped_before = obs::dropped_span_count();
+  {
+    OBS_SPAN("outer");
+    for (int i = 0; i < 32; ++i) {
+      OBS_SPAN("inner");
+    }
+  }
+  obs::set_tracing(false);
+  EXPECT_EQ(obs::dropped_span_count(), dropped_before);
+  const minijson::Value doc = export_trace();
+  const auto& events = doc.at("traceEvents").array();
+  EXPECT_TRUE(std::any_of(events.begin(), events.end(), [](const minijson::Value& ev) {
+    return ev.at("name").str() == "outer";
+  }));
+}
+
 TEST_F(ObsTraceTest, OpenSpanReportNamesInnermostSpan) {
   obs::set_tracing(true);
   {

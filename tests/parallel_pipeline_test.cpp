@@ -199,18 +199,28 @@ TEST(ParallelPipeline, ByteIdenticalUnderAdversarialCostSkew) {
   const Rng base{2014};
 
   const auto plan = series_faults();
-  core::ThreadPool pool1{1};
-  const auto serial =
-      measurement::parallel_simulate_households(fx.kit(&plan), tasks, base, pool1);
-  ASSERT_EQ(serial.size(), tasks.size());
-  EXPECT_GT(dasu_series_count(serial), 0u);
-  for (const std::size_t threads : {2u, 8u}) {
-    core::ThreadPool pool{threads};
-    const auto parallel =
-        measurement::parallel_simulate_households(fx.kit(&plan), tasks, base, pool);
-    ASSERT_EQ(parallel.size(), serial.size());
-    for (std::size_t i = 0; i < serial.size(); ++i) {
-      expect_identical(serial[i], parallel[i], i);
+
+  // The clean run is the production path: Dasu summaries are written into
+  // each block's reused workspace while blocks are stolen. The faulted
+  // run also compares every observed sample.
+  for (const bool faulted : {false, true}) {
+    const auto kit = fx.kit(faulted ? &plan : nullptr);
+    core::ThreadPool pool1{1};
+    const auto serial = measurement::parallel_simulate_households(kit, tasks, base, pool1);
+    ASSERT_EQ(serial.size(), tasks.size());
+    if (faulted) {
+      EXPECT_GT(dasu_series_count(serial), 0u);
+    } else {
+      EXPECT_EQ(dasu_series_count(serial), 0u);
+    }
+    for (const std::size_t threads : {2u, 8u}) {
+      core::ThreadPool pool{threads};
+      const auto parallel =
+          measurement::parallel_simulate_households(kit, tasks, base, pool);
+      ASSERT_EQ(parallel.size(), serial.size());
+      for (std::size_t i = 0; i < serial.size(); ++i) {
+        expect_identical(serial[i], parallel[i], i);
+      }
     }
   }
 }

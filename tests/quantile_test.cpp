@@ -10,6 +10,7 @@
 
 #include "core/error.h"
 #include "core/rng.h"
+#include "stats/column.h"
 
 namespace bblab::stats {
 namespace {
@@ -120,24 +121,32 @@ TEST(QuantileSorted, RejectsNanWithClearError) {
   EXPECT_THROW((void)quantile_sorted(single, 0.5), InvalidArgument);
 }
 
-// quantile_select must give quantile()'s exact bits: compare as integers.
+// Selection must give the bits of type 7 on the sorted sample (NaNs
+// dropped, empty -> 0): compare as integers, through quantile_select on
+// a scratch copy and through quantile().
+double sorted_reference(const std::vector<double>& xs, double q) {
+  const auto sorted = sorted_finite(xs);
+  return sorted.empty() ? 0.0 : quantile_sorted(sorted, q);
+}
+
 void expect_select_matches(const std::vector<double>& xs, double q) {
+  const auto expected = std::bit_cast<std::uint64_t>(sorted_reference(xs, q));
   std::vector<double> scratch = xs;
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(quantile_select(scratch, q)),
-            std::bit_cast<std::uint64_t>(quantile(xs, q)))
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(quantile_select(scratch, q)), expected)
+      << "n=" << xs.size() << " q=" << q;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(quantile(xs, q)), expected)
       << "n=" << xs.size() << " q=" << q;
 }
 
-TEST(QuantileSelect, BitIdenticalToP95AcrossSizes) {
+TEST(QuantileSelect, BitIdenticalToSortedAcrossSizes) {
   Rng rng{95};
   // 20 and 21 put floor(0.95 (n-1)) on either side of an exact index;
-  // 2048 and above take quantile()'s radix-sort path.
+  // 2048 and above take sorted_finite's radix-sort path.
   for (const std::size_t n : {1u, 2u, 3u, 20u, 21u, 100u, 2047u, 2048u, 5000u}) {
     std::vector<double> xs;
     for (std::size_t i = 0; i < n; ++i) xs.push_back(rng.lognormal(10, 2));
-    std::vector<double> scratch = xs;
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(quantile_select(scratch, 0.95)),
-              std::bit_cast<std::uint64_t>(p95(xs)))
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(p95(xs)),
+              std::bit_cast<std::uint64_t>(sorted_reference(xs, 0.95)))
         << "n=" << n;
     for (const double q : {0.0, 0.25, 0.5, 0.9, 0.95, 0.99, 1.0}) {
       expect_select_matches(xs, q);
