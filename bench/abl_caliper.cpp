@@ -22,21 +22,14 @@ int main() {
   analysis::print_banner(out, "Ablation — caliper width vs matching quality (Table 3 design)");
 
   const auto records = analysis::dasu_records(ds);
-  const auto outcome = [](const dataset::UserRecord& r) {
-    return r.usage.peak_down_no_bt.bps();
+  const auto bands = analysis::partition(records, stats::EdgeBins{{0.0, 25.0, 60.0, 1e12}},
+                                         analysis::Field::kAccessPriceUsd);
+  const auto band = [&](std::size_t i) {
+    return analysis::make_units(bands[i], analysis::peak_down_field(false),
+                                analysis::covariates::kPriceExperiment);
   };
-  const auto cov = analysis::covariates_price_experiment();
-  const auto band = [&](double lo, double hi) {
-    return analysis::make_units(
-        analysis::filter(records,
-                         [&](const dataset::UserRecord& r) {
-                           const double p = r.access_price.dollars();
-                           return p > lo && p <= hi;
-                         }),
-        outcome, cov);
-  };
-  const auto cheap = band(0.0, 25.0);
-  const auto expensive = band(60.0, 1e12);
+  const auto cheap = band(0);
+  const auto expensive = band(2);
 
   out << "  caliper   pairs   %H holds   p-value     worst |SMD|\n";
   std::array<char, 160> buf{};

@@ -25,21 +25,14 @@ int main() {
   analysis::print_banner(out, "Ablation — estimators on the price-of-access design");
 
   const auto records = analysis::dasu_records(ds);
-  const auto outcome = [](const dataset::UserRecord& r) {
-    return r.usage.mean_down_no_bt.bps();
+  const auto bands = analysis::partition(records, stats::EdgeBins{{0.0, 25.0, 60.0, 1e12}},
+                                         analysis::Field::kAccessPriceUsd);
+  const auto band = [&](std::size_t i) {
+    return analysis::make_units(bands[i], analysis::mean_down_field(false),
+                                analysis::covariates::kCapacityQuality);
   };
-  const auto cov = analysis::covariates_capacity_quality();
-  const auto band = [&](double lo, double hi) {
-    return analysis::make_units(
-        analysis::filter(records,
-                         [&](const dataset::UserRecord& r) {
-                           const double p = r.access_price.dollars();
-                           return p > lo && p <= hi;
-                         }),
-        outcome, cov);
-  };
-  const auto cheap = band(0.0, 25.0);
-  const auto expensive = band(60.0, 1e12);
+  const auto cheap = band(0);
+  const auto expensive = band(2);
   out << "  pools: " << expensive.size() << " expensive-market users vs "
       << cheap.size() << " cheap-market users\n";
 
@@ -61,8 +54,8 @@ int main() {
   std::uint64_t wins = 0;
   std::uint64_t trials = 0;
   for (const auto& p : prop.pairs) {
-    const double t = expensive[p.treated_index].outcome;
-    const double c = cheap[p.control_index].outcome;
+    const double t = expensive.outcome(p.treated_index);
+    const double c = cheap.outcome(p.control_index);
     if (t == c) continue;
     ++trials;
     if (t > c) ++wins;

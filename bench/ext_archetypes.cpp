@@ -51,9 +51,6 @@ int main() {
 
   // Within-category capacity experiment: does the §3 capacity effect hold
   // for light users as it does for heavy ones?
-  const auto outcome = [](const dataset::UserRecord& r) {
-    return analysis::peak_down_bps(r, false);
-  };
   causal::ExperimentOptions options;
   options.matcher.absolute_slacks = {1e-9, 2e-4, 1e-9, 0.02};
   const causal::NaturalExperiment experiment{options};
@@ -70,7 +67,7 @@ int main() {
                              const double c = r.capacity.mbps();
                              return c > lo && c <= hi;
                            }),
-          outcome, analysis::covariates_quality_and_market());
+          analysis::peak_down_field(false), analysis::covariates::kQualityAndMarket);
     };
     const auto result =
         experiment.run("capacity effect, " + behavior::archetype_label(archetype),

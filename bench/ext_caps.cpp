@@ -27,7 +27,7 @@ int main() {
   out << "  population: " << capped.size() << " capped, " << uncapped.size()
       << " uncapped users\n";
 
-  const auto cov = analysis::covariates_price_experiment();  // cap(acity), rtt, loss, cost
+  const auto& cov = analysis::covariates::kPriceExperiment;  // capacity, rtt, loss, cost
   causal::ExperimentOptions options;
   options.matcher.absolute_slacks = {1e-9, 1e-9, 2e-4, 0.02};
   const causal::NaturalExperiment experiment{options};
@@ -35,9 +35,7 @@ int main() {
   // H: the uncapped (treated) user imposes higher average demand.
   for (const auto& [label, with_bt] :
        {std::pair{"average demand w/ BT", true}, std::pair{"average demand no BT", false}}) {
-    const auto outcome = [with_bt = with_bt](const dataset::UserRecord& r) {
-      return analysis::mean_down_bps(r, with_bt);
-    };
+    const auto outcome = analysis::mean_down_field(with_bt);
     const auto treated = analysis::make_units(uncapped, outcome, cov);
     const auto control = analysis::make_units(capped, outcome, cov);
     const auto result = experiment.run(label, treated, control);

@@ -4,8 +4,10 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <limits>
+#include <span>
 
 #include "causal/matching.h"
 #include "core/rng.h"
@@ -71,34 +73,54 @@ void BM_WorkloadGeneration(benchmark::State& state) {
 }
 BENCHMARK(BM_WorkloadGeneration);
 
-std::vector<causal::Unit> matching_units(std::size_t n, std::uint64_t salt) {
+// Units shaped like the Tab. 2 quality-and-market design: rtt and loss
+// per user, then access price and upgrade cost, which are market-level
+// and so take only as many values as there are markets. `dim` keeps the
+// first 2..4 of these covariates.
+causal::UnitTable matching_units(std::size_t n, std::size_t dim, std::uint64_t salt) {
+  constexpr std::size_t kMarkets = 15;
   Rng rng{salt};
-  std::vector<causal::Unit> units(n);
-  for (auto& u : units) {
-    u.outcome = rng.uniform();
-    u.covariates = {rng.lognormal(3, 0.8), rng.lognormal(0, 1),
-                    rng.uniform(10, 100)};
+  causal::UnitTable units{dim};
+  units.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double market = static_cast<double>(rng.index(kMarkets));
+    const std::array<double, 4> row{rng.lognormal(3.8, 0.7),
+                                    rng.bernoulli(0.3) ? 0.0 : rng.lognormal(-7.0, 1.0),
+                                    10.0 + 6.0 * market, 0.2 + 0.15 * market};
+    units.push_back(rng.uniform(), std::span<const double>{row.data(), dim}, i);
   }
   return units;
 }
 
+causal::MatcherOptions matching_options() {
+  causal::MatcherOptions options;
+  options.absolute_slacks = {1e-9, 2e-4, 1e-9, 0.02};
+  return options;
+}
+
 void BM_CaliperMatching(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
-  const auto treated = matching_units(n, 3);
-  const auto control = matching_units(n, 4);
-  const causal::CaliperMatcher matcher;
+  const auto dim = static_cast<std::size_t>(state.range(1));
+  const auto treated = matching_units(n, dim, 3);
+  const auto control = matching_units(n, dim, 4);
+  const causal::CaliperMatcher matcher{matching_options()};
   for (auto _ : state) {
     benchmark::DoNotOptimize(matcher.match(treated, control));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_CaliperMatching)->Arg(100)->Arg(400)->Arg(1600);
+BENCHMARK(BM_CaliperMatching)
+    ->Args({100, 4})
+    ->Args({400, 4})
+    ->Args({1600, 2})
+    ->Args({1600, 3})
+    ->Args({1600, 4});
 
 void BM_CaliperMatchingPooled(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
-  const auto treated = matching_units(n, 3);
-  const auto control = matching_units(n, 4);
-  const causal::CaliperMatcher matcher;
+  const auto treated = matching_units(n, 4, 3);
+  const auto control = matching_units(n, 4, 4);
+  const causal::CaliperMatcher matcher{matching_options()};
   core::ThreadPool pool{static_cast<std::size_t>(state.range(1))};
   for (auto _ : state) {
     benchmark::DoNotOptimize(matcher.match(treated, control, &pool));

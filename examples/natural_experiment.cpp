@@ -27,10 +27,8 @@ int main() {
 
   // Outcome: peak demand with BitTorrent excluded. Confounders: capacity,
   // connection quality, and market features.
-  const auto outcome = [](const dataset::UserRecord& r) {
-    return r.usage.peak_down_no_bt.bps();
-  };
-  auto covariates = analysis::covariates_price_experiment();  // cap, rtt, loss, cost
+  const auto outcome = analysis::peak_down_field(false);
+  const auto& covariates = analysis::covariates::kPriceExperiment;  // cap, rtt, loss, cost
 
   const auto bt_users = analysis::filter(
       records, [](const dataset::UserRecord& r) { return r.bt_user; });
@@ -47,9 +45,9 @@ int main() {
   std::size_t naive_trials = 0;
   for (std::size_t i = 0; i < treated.size() && i < 2000; ++i) {
     for (std::size_t j = 0; j < control.size() && j < 50; ++j) {
-      if (treated[i].outcome == control[j].outcome) continue;
+      if (treated.outcome(i) == control.outcome(j)) continue;
       ++naive_trials;
-      if (treated[i].outcome > control[j].outcome) ++naive_wins;
+      if (treated.outcome(i) > control.outcome(j)) ++naive_wins;
     }
   }
   std::array<char, 160> buf{};

@@ -5,6 +5,8 @@
 
 namespace bblab::analysis {
 
+using dataset::UserRecord;
+
 std::vector<RecordPtr> coverage_filter(std::span<const RecordPtr> records,
                                        const dataset::CoverageRule& rule,
                                        double bin_s, core::QuarantineReport* qc) {
@@ -97,102 +99,28 @@ std::vector<double> gather(std::span<const double> col,
   return out;
 }
 
-std::vector<causal::Unit> make_units(
-    std::span<const RecordPtr> records,
-    const std::function<double(const dataset::UserRecord&)>& outcome,
-    const std::vector<std::function<double(const dataset::UserRecord&)>>& covariates) {
-  std::vector<causal::Unit> units;
+std::vector<std::vector<RecordPtr>> partition(std::span<const RecordPtr> records,
+                                              const stats::EdgeBins& bands, Field field) {
+  return partition(records, bands.count(), [&](const UserRecord& r) {
+    return bands.bin_of(field_value(r, field)).value_or(bands.count());
+  });
+}
+
+causal::UnitTable make_units(std::span<const RecordPtr> records, Field outcome,
+                             std::span<const Field> covariates) {
+  causal::UnitTable units{covariates.size()};
   units.reserve(records.size());
+  std::vector<double> row(covariates.size());
   for (std::size_t i = 0; i < records.size(); ++i) {
-    causal::Unit u;
-    u.tag = i;
-    u.outcome = outcome(*records[i]);
-    u.covariates.reserve(covariates.size());
-    bool ok = std::isfinite(u.outcome);
-    for (const auto& cov : covariates) {
-      const double v = cov(*records[i]);
-      if (!std::isfinite(v)) {
-        ok = false;
-        break;
-      }
-      u.covariates.push_back(v);
+    const double y = field_value(*records[i], outcome);
+    bool ok = std::isfinite(y);
+    for (std::size_t j = 0; ok && j < covariates.size(); ++j) {
+      row[j] = field_value(*records[i], covariates[j]);
+      ok = std::isfinite(row[j]);
     }
-    if (ok) units.push_back(std::move(u));
+    if (ok) units.push_back(y, row, i);
   }
   return units;
-}
-
-std::vector<std::function<double(const dataset::UserRecord&)>>
-covariates_quality_and_market() {
-  return {
-      [](const dataset::UserRecord& r) { return r.rtt_ms; },
-      [](const dataset::UserRecord& r) { return r.loss; },
-      [](const dataset::UserRecord& r) { return r.access_price.dollars(); },
-      [](const dataset::UserRecord& r) { return r.upgrade_cost_per_mbps; },
-  };
-}
-
-std::vector<std::function<double(const dataset::UserRecord&)>>
-covariates_capacity_and_market() {
-  return {
-      [](const dataset::UserRecord& r) { return r.capacity.mbps(); },
-      [](const dataset::UserRecord& r) { return r.access_price.dollars(); },
-      [](const dataset::UserRecord& r) { return r.upgrade_cost_per_mbps; },
-  };
-}
-
-std::vector<std::function<double(const dataset::UserRecord&)>>
-covariates_capacity_quality() {
-  return {
-      [](const dataset::UserRecord& r) { return r.capacity.mbps(); },
-      [](const dataset::UserRecord& r) { return r.rtt_ms; },
-      [](const dataset::UserRecord& r) { return r.loss; },
-  };
-}
-
-std::vector<std::function<double(const dataset::UserRecord&)>> covariates_quality() {
-  return {
-      [](const dataset::UserRecord& r) { return r.rtt_ms; },
-      [](const dataset::UserRecord& r) { return r.loss; },
-  };
-}
-
-std::vector<std::function<double(const dataset::UserRecord&)>>
-covariates_price_experiment() {
-  return {
-      [](const dataset::UserRecord& r) { return r.capacity.mbps(); },
-      [](const dataset::UserRecord& r) { return r.rtt_ms; },
-      [](const dataset::UserRecord& r) { return r.loss; },
-      [](const dataset::UserRecord& r) { return r.upgrade_cost_per_mbps; },
-  };
-}
-
-std::vector<std::function<double(const dataset::UserRecord&)>>
-covariates_upgrade_cost_experiment() {
-  return {
-      [](const dataset::UserRecord& r) { return r.capacity.mbps(); },
-      [](const dataset::UserRecord& r) { return r.rtt_ms; },
-      [](const dataset::UserRecord& r) { return r.loss; },
-      [](const dataset::UserRecord& r) { return r.access_price.dollars(); },
-  };
-}
-
-std::vector<std::function<double(const dataset::UserRecord&)>>
-covariates_latency_experiment() {
-  return {
-      [](const dataset::UserRecord& r) { return r.capacity.mbps(); },
-      [](const dataset::UserRecord& r) { return r.loss; },
-      [](const dataset::UserRecord& r) { return r.access_price.dollars(); },
-  };
-}
-
-std::vector<std::function<double(const dataset::UserRecord&)>>
-covariates_loss_experiment() {
-  return {
-      [](const dataset::UserRecord& r) { return r.capacity.mbps(); },
-      [](const dataset::UserRecord& r) { return r.rtt_ms; },
-      [](const dataset::UserRecord& r) { return r.access_price.dollars(); },
-  };
 }
 
 }  // namespace bblab::analysis

@@ -1,8 +1,10 @@
 // Shared plumbing for the per-figure/table analysis pipelines.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <span>
 #include <string>
 #include <string_view>
@@ -12,6 +14,7 @@
 #include "core/quarantine.h"
 #include "dataset/generator.h"
 #include "dataset/user_record.h"
+#include "stats/binning.h"
 #include "stats/column.h"
 
 namespace bblab::analysis {
@@ -76,29 +79,85 @@ struct RecordColumns {
 [[nodiscard]] std::vector<double> gather(std::span<const double> col,
                                          std::span<const std::uint32_t> idx);
 
-/// Build matching units: outcome + covariates per record. Records where
-/// any covariate is NaN are skipped (e.g. undefined market upgrade cost).
-[[nodiscard]] std::vector<causal::Unit> make_units(
-    std::span<const RecordPtr> records,
-    const std::function<double(const dataset::UserRecord&)>& outcome,
-    const std::vector<std::function<double(const dataset::UserRecord&)>>& covariates);
+/// The per-record numbers the natural experiments match on or score.
+enum class Field : std::uint8_t {
+  kCapacityMbps,
+  kRttMs,
+  kLoss,
+  kAccessPriceUsd,
+  kUpgradeCostPerMbps,
+  kMeanDownBps,      ///< mean demand, BitTorrent included
+  kMeanDownNoBtBps,  ///< mean demand, BitTorrent excluded
+  kPeakDownBps,      ///< p95 demand, BitTorrent included
+  kPeakDownNoBtBps,  ///< p95 demand, BitTorrent excluded
+};
+
+[[nodiscard]] inline double field_value(const dataset::UserRecord& r, Field f) {
+  switch (f) {
+    case Field::kCapacityMbps: return r.capacity.mbps();
+    case Field::kRttMs: return r.rtt_ms;
+    case Field::kLoss: return r.loss;
+    case Field::kAccessPriceUsd: return r.access_price.dollars();
+    case Field::kUpgradeCostPerMbps: return r.upgrade_cost_per_mbps;
+    case Field::kMeanDownBps: return mean_down_bps(r, true);
+    case Field::kMeanDownNoBtBps: return mean_down_bps(r, false);
+    case Field::kPeakDownBps: return peak_down_bps(r, true);
+    case Field::kPeakDownNoBtBps: return peak_down_bps(r, false);
+  }
+  return std::numeric_limits<double>::quiet_NaN();
+}
+
+/// Demand outcome fields, selected like mean_down_bps / peak_down_bps.
+[[nodiscard]] constexpr Field mean_down_field(bool with_bt) {
+  return with_bt ? Field::kMeanDownBps : Field::kMeanDownNoBtBps;
+}
+[[nodiscard]] constexpr Field peak_down_field(bool with_bt) {
+  return with_bt ? Field::kPeakDownBps : Field::kPeakDownNoBtBps;
+}
+
+/// Split `records` into `groups` lists in one pass, keeping record order
+/// within each list: a record goes to list group_of(record) when that
+/// index is below `groups`, and to no list otherwise.
+template <class GroupOf>
+[[nodiscard]] std::vector<std::vector<RecordPtr>> partition(
+    std::span<const RecordPtr> records, std::size_t groups, GroupOf group_of) {
+  std::vector<std::vector<RecordPtr>> out(groups);
+  for (const auto* r : records) {
+    const std::size_t g = group_of(*r);
+    if (g < groups) out[g].push_back(r);
+  }
+  return out;
+}
+
+/// partition() into the right-closed bands of `bands`, keyed by `field`.
+[[nodiscard]] std::vector<std::vector<RecordPtr>> partition(
+    std::span<const RecordPtr> records, const stats::EdgeBins& bands, Field field);
+
+/// Build matching units in one pass: the `outcome` field plus the
+/// `covariates` fields of each record, tagged with the record's index.
+/// Records where any of them is not finite are skipped (e.g. undefined
+/// market upgrade cost).
+[[nodiscard]] causal::UnitTable make_units(std::span<const RecordPtr> records,
+                                           Field outcome,
+                                           std::span<const Field> covariates);
 
 /// The standard confounder sets used across the experiments.
-[[nodiscard]] std::vector<std::function<double(const dataset::UserRecord&)>>
-covariates_quality_and_market();  ///< rtt, loss, access price, upgrade cost
-[[nodiscard]] std::vector<std::function<double(const dataset::UserRecord&)>>
-covariates_capacity_and_market();  ///< capacity, access price, upgrade cost
-[[nodiscard]] std::vector<std::function<double(const dataset::UserRecord&)>>
-covariates_capacity_quality();  ///< capacity, rtt, loss
-[[nodiscard]] std::vector<std::function<double(const dataset::UserRecord&)>>
-covariates_quality();  ///< rtt, loss (within-market designs, e.g. FCC)
-[[nodiscard]] std::vector<std::function<double(const dataset::UserRecord&)>>
-covariates_price_experiment();  ///< capacity, rtt, loss, upgrade cost
-[[nodiscard]] std::vector<std::function<double(const dataset::UserRecord&)>>
-covariates_upgrade_cost_experiment();  ///< capacity, rtt, loss, access price
-[[nodiscard]] std::vector<std::function<double(const dataset::UserRecord&)>>
-covariates_latency_experiment();  ///< capacity, loss, access price
-[[nodiscard]] std::vector<std::function<double(const dataset::UserRecord&)>>
-covariates_loss_experiment();  ///< capacity, rtt, access price
+namespace covariates {
+inline constexpr std::array kQualityAndMarket{  ///< rtt, loss, access price, upgrade cost
+    Field::kRttMs, Field::kLoss, Field::kAccessPriceUsd, Field::kUpgradeCostPerMbps};
+inline constexpr std::array kCapacityQuality{  ///< capacity, rtt, loss
+    Field::kCapacityMbps, Field::kRttMs, Field::kLoss};
+inline constexpr std::array kQuality{  ///< rtt, loss (within-market designs, e.g. FCC)
+    Field::kRttMs, Field::kLoss};
+inline constexpr std::array kPriceExperiment{  ///< capacity, rtt, loss, upgrade cost
+    Field::kCapacityMbps, Field::kRttMs, Field::kLoss, Field::kUpgradeCostPerMbps};
+inline constexpr std::array kUpgradeCostExperiment{  ///< capacity, rtt, loss, access price
+    Field::kCapacityMbps, Field::kRttMs, Field::kLoss, Field::kAccessPriceUsd};
+inline constexpr std::array kLatencyExperiment{  ///< capacity, loss, access price
+    Field::kCapacityMbps, Field::kLoss, Field::kAccessPriceUsd};
+inline constexpr std::array kLossExperiment{  ///< capacity, rtt, access price
+    Field::kCapacityMbps, Field::kRttMs, Field::kAccessPriceUsd};
+inline constexpr std::array kCapacity{Field::kCapacityMbps};
+}  // namespace covariates
 
 }  // namespace bblab::analysis

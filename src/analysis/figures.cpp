@@ -207,8 +207,8 @@ Fig6Result fig6_longitudinal(const dataset::StudyDataset& ds) {
   // paper finds no significant change at any tier.
   if (by_year.keys.size() >= 2) {
     const auto first = static_cast<int>(by_year.keys.front());
-    auto cov = covariates_price_experiment();  // capacity, rtt, loss, upgrade cost
-    const auto outcome = [](const UserRecord& r) { return peak_down_bps(r, false); };
+    const auto& cov = covariates::kPriceExperiment;  // capacity, rtt, loss, upgrade cost
+    const auto outcome = peak_down_field(false);
     const auto control_units = make_units(year_recs.front(), outcome, cov);
     causal::ExperimentOptions options;
     options.matcher.absolute_slacks = {1e-9, 1e-9, 2e-4, 0.02};  // cap, rtt, loss, cost

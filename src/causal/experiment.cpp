@@ -16,8 +16,8 @@ std::string ExperimentResult::to_string() const {
 }
 
 ExperimentResult NaturalExperiment::run(const std::string& name,
-                                        std::span<const Unit> treated,
-                                        std::span<const Unit> control) const {
+                                        const UnitTable& treated,
+                                        const UnitTable& control) const {
   ExperimentResult result;
   result.name = name;
   result.treated_pool = treated.size();
@@ -31,8 +31,8 @@ ExperimentResult NaturalExperiment::run(const std::string& name,
   std::uint64_t successes = 0;
   std::uint64_t trials = 0;
   for (const auto& p : pairs) {
-    const double t = treated[p.treated_index].outcome;
-    const double c = control[p.control_index].outcome;
+    const double t = treated.outcome(p.treated_index);
+    const double c = control.outcome(p.control_index);
     if (t == c) continue;  // a tie carries no sign: dropped, not counted
     ++trials;
     if (t > c) ++successes;

@@ -9,7 +9,6 @@
 // service upgrades (Table 1), where each user is their own control.
 #pragma once
 
-#include <functional>
 #include <span>
 #include <string>
 #include <vector>
@@ -47,8 +46,8 @@ class NaturalExperiment {
   /// Hypothesis H: treated outcome > control outcome within matched pairs.
   /// Pairs with exactly equal outcomes are dropped from the sign test.
   [[nodiscard]] ExperimentResult run(const std::string& name,
-                                     std::span<const Unit> treated,
-                                     std::span<const Unit> control) const;
+                                     const UnitTable& treated,
+                                     const UnitTable& control) const;
 
   [[nodiscard]] const ExperimentOptions& options() const { return options_; }
 

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstddef>
+#include <initializer_list>
 #include <span>
 #include <vector>
 
@@ -17,13 +18,40 @@
 
 namespace bblab::causal {
 
-/// One observational unit: an outcome plus the covariates that must be
-/// balanced between groups.
-struct Unit {
-  double outcome{0.0};
-  std::vector<double> covariates;
-  /// Opaque tag for callers to map matches back to their records.
-  std::size_t tag{0};
+/// One group of observational units as a table: an outcome column, a
+/// row-major n x dim() covariate matrix (the covariates that must be
+/// balanced between groups), and an opaque per-row tag that callers use
+/// to map matches back to their records.
+class UnitTable {
+ public:
+  UnitTable() = default;
+  explicit UnitTable(std::size_t dim) : dim_{dim} {}
+
+  /// Append a unit. Throws InvalidArgument unless `covariates` holds
+  /// exactly dim() finite values.
+  void push_back(double outcome, std::span<const double> covariates, std::size_t tag);
+  /// Append a unit tagged with its row index.
+  void push_back(double outcome, std::initializer_list<double> covariates) {
+    push_back(outcome, std::span<const double>{covariates.begin(), covariates.size()},
+              size());
+  }
+  void reserve(std::size_t units);
+
+  [[nodiscard]] std::size_t size() const { return outcomes_.size(); }
+  [[nodiscard]] bool empty() const { return outcomes_.empty(); }
+  [[nodiscard]] std::size_t dim() const { return dim_; }
+
+  [[nodiscard]] double outcome(std::size_t i) const { return outcomes_[i]; }
+  [[nodiscard]] std::span<const double> covariates(std::size_t i) const {
+    return {values_.data() + i * dim_, dim_};
+  }
+  [[nodiscard]] std::size_t tag(std::size_t i) const { return tags_[i]; }
+
+ private:
+  std::size_t dim_{0};
+  std::vector<double> outcomes_;
+  std::vector<double> values_;  ///< row-major, size() * dim_
+  std::vector<std::size_t> tags_;
 };
 
 struct MatchedPair {
@@ -60,20 +88,25 @@ struct MatcherOptions {
 
 class CaliperMatcher {
  public:
-  explicit CaliperMatcher(MatcherOptions options = {}) : options_{options} {}
+  /// Throws InvalidArgument when the caliper or any slack is negative or
+  /// not finite (a NaN caliper would make every pair feasible).
+  explicit CaliperMatcher(MatcherOptions options = {});
 
-  /// Greedy one-to-one matching: collect the caliper-feasible pairs,
-  /// sort by distance, take pairs whose endpoints are still free.
+  /// Greedy one-to-one matching: among the caliper-feasible pairs, take
+  /// them in ascending (distance, treated, control) order whenever both
+  /// endpoints are still free. Pairs come out in the order taken.
   ///
-  /// Instead of scanning all T x C combinations, controls are sorted by
-  /// their first covariate once and each treated unit only examines the
-  /// band of controls whose first covariate could possibly satisfy the
-  /// caliper (a conservative superset — the exact per-covariate check
-  /// still runs inside the band), so the matched pairs are identical to
-  /// the brute-force enumeration. Pass a pool to spread the per-treated
-  /// band scans across threads; the result does not depend on it.
-  [[nodiscard]] std::vector<MatchedPair> match(std::span<const Unit> treated,
-                                               std::span<const Unit> control,
+  /// Feasibility and distance are exactly within_caliper() and
+  /// covariate_distance(). Each treated unit scans only the band of
+  /// controls whose first covariate could satisfy the caliper (a proven
+  /// superset of its feasible controls), and a min-heap over each treated
+  /// unit's best remaining candidate replays the global sort's order
+  /// without materializing it (DESIGN.md, "Matching kernel"). Pass a pool
+  /// to spread the band scans across threads; the result does not depend
+  /// on it. Throws InvalidArgument when both groups are non-empty and
+  /// their covariate dimensions differ or are zero.
+  [[nodiscard]] std::vector<MatchedPair> match(const UnitTable& treated,
+                                               const UnitTable& control,
                                                core::ThreadPool* pool = nullptr) const;
 
   [[nodiscard]] const MatcherOptions& options() const { return options_; }
@@ -86,7 +119,7 @@ class CaliperMatcher {
 /// covariate over the matched pairs (|SMD| < 0.1 is the usual "balanced"
 /// rule of thumb).
 [[nodiscard]] std::vector<double> standardized_mean_differences(
-    std::span<const Unit> treated, std::span<const Unit> control,
+    const UnitTable& treated, const UnitTable& control,
     std::span<const MatchedPair> pairs);
 
 }  // namespace bblab::causal

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "core/error.h"
 
@@ -13,16 +14,13 @@ double sigmoid(double z) { return 1.0 / (1.0 + std::exp(-z)); }
 
 }  // namespace
 
-LogisticModel LogisticModel::fit(std::span<const Unit> treated,
-                                 std::span<const Unit> control, FitOptions options) {
+LogisticModel LogisticModel::fit(const UnitTable& treated, const UnitTable& control,
+                                 FitOptions options) {
   require(!treated.empty() && !control.empty(),
           "LogisticModel::fit: both groups must be non-empty");
-  const std::size_t k = treated.front().covariates.size();
-  for (const auto* group : {&treated, &control}) {
-    for (const auto& u : *group) {
-      require(u.covariates.size() == k, "LogisticModel::fit: ragged covariates");
-    }
-  }
+  require(treated.dim() == control.dim(),
+          "LogisticModel::fit: groups differ in covariate dimension");
+  const std::size_t k = treated.dim();
 
   LogisticModel model;
   model.mean_.assign(k, 0.0);
@@ -33,23 +31,21 @@ LogisticModel LogisticModel::fit(std::span<const Unit> treated,
   const auto n = static_cast<double>(treated.size() + control.size());
   for (std::size_t j = 0; j < k; ++j) {
     double sum = 0.0;
-    for (const auto& u : treated) sum += u.covariates[j];
-    for (const auto& u : control) sum += u.covariates[j];
+    for (std::size_t i = 0; i < treated.size(); ++i) sum += treated.covariates(i)[j];
+    for (std::size_t i = 0; i < control.size(); ++i) sum += control.covariates(i)[j];
     model.mean_[j] = sum / n;
     double ss = 0.0;
-    for (const auto& u : treated) {
-      const double d = u.covariates[j] - model.mean_[j];
-      ss += d * d;
-    }
-    for (const auto& u : control) {
-      const double d = u.covariates[j] - model.mean_[j];
-      ss += d * d;
+    for (const auto* group : {&treated, &control}) {
+      for (std::size_t i = 0; i < group->size(); ++i) {
+        const double d = group->covariates(i)[j] - model.mean_[j];
+        ss += d * d;
+      }
     }
     model.stddev_[j] = std::max(1e-9, std::sqrt(ss / n));
   }
 
-  const auto standardized = [&](const Unit& u, std::size_t j) {
-    return (u.covariates[j] - model.mean_[j]) / model.stddev_[j];
+  const auto standardized = [&](std::span<const double> x, std::size_t j) {
+    return (x[j] - model.mean_[j]) / model.stddev_[j];
   };
 
   // Batch gradient descent on the regularized log-loss.
@@ -57,14 +53,14 @@ LogisticModel LogisticModel::fit(std::span<const Unit> treated,
   for (int it = 0; it < options.iterations; ++it) {
     std::fill(grad.begin(), grad.end(), 0.0);
     double grad0 = 0.0;
-    for (const auto* group : {&treated, &control}) {
-      const double label = group == &treated ? 1.0 : 0.0;
-      for (const auto& u : *group) {
+    for (const auto& [group, label] : {std::pair{&treated, 1.0}, std::pair{&control, 0.0}}) {
+      for (std::size_t i = 0; i < group->size(); ++i) {
+        const auto x = group->covariates(i);
         double z = model.intercept_;
-        for (std::size_t j = 0; j < k; ++j) z += model.weights_[j] * standardized(u, j);
+        for (std::size_t j = 0; j < k; ++j) z += model.weights_[j] * standardized(x, j);
         const double err = sigmoid(z) - label;
         grad0 += err;
-        for (std::size_t j = 0; j < k; ++j) grad[j] += err * standardized(u, j);
+        for (std::size_t j = 0; j < k; ++j) grad[j] += err * standardized(x, j);
       }
     }
     model.intercept_ -= options.learning_rate * grad0 / n;
@@ -86,8 +82,8 @@ double LogisticModel::predict(std::span<const double> covariates) const {
   return sigmoid(z);
 }
 
-PropensityMatchResult propensity_match(std::span<const Unit> treated,
-                                       std::span<const Unit> control,
+PropensityMatchResult propensity_match(const UnitTable& treated,
+                                       const UnitTable& control,
                                        PropensityOptions options) {
   PropensityMatchResult result;
   if (treated.empty() || control.empty()) return result;
@@ -95,8 +91,12 @@ PropensityMatchResult propensity_match(std::span<const Unit> treated,
   const auto model = LogisticModel::fit(treated, control, options.fit);
   result.treated_scores.reserve(treated.size());
   result.control_scores.reserve(control.size());
-  for (const auto& u : treated) result.treated_scores.push_back(model.predict(u.covariates));
-  for (const auto& u : control) result.control_scores.push_back(model.predict(u.covariates));
+  for (std::size_t i = 0; i < treated.size(); ++i) {
+    result.treated_scores.push_back(model.predict(treated.covariates(i)));
+  }
+  for (std::size_t i = 0; i < control.size(); ++i) {
+    result.control_scores.push_back(model.predict(control.covariates(i)));
+  }
 
   // Greedy nearest-score matching without replacement.
   struct Candidate {

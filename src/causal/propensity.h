@@ -28,11 +28,11 @@ class LogisticModel {
     double l2{1e-4};
   };
 
-  /// Fit P(treated | x) on two groups of units with equal covariate
-  /// dimension. (No default argument: a nested class with member
+  /// Fit P(treated | x) on two non-empty groups of units with equal
+  /// covariate dimension. (No default argument: a nested class with member
   /// initializers cannot default-construct inside its enclosing class
   /// definition — pass `FitOptions{}`.)
-  static LogisticModel fit(std::span<const Unit> treated, std::span<const Unit> control,
+  static LogisticModel fit(const UnitTable& treated, const UnitTable& control,
                            FitOptions options);
 
   /// Predicted probability of treatment for one covariate vector.
@@ -62,8 +62,8 @@ struct PropensityMatchResult {
 };
 
 /// Greedy nearest-score one-to-one matching.
-[[nodiscard]] PropensityMatchResult propensity_match(std::span<const Unit> treated,
-                                                     std::span<const Unit> control,
+[[nodiscard]] PropensityMatchResult propensity_match(const UnitTable& treated,
+                                                     const UnitTable& control,
                                                      PropensityOptions options = {});
 
 }  // namespace bblab::causal

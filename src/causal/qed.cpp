@@ -30,8 +30,8 @@ std::string QedResult::to_string() const {
   return std::string{buf.data()};
 }
 
-QedResult QuasiExperiment::run(const std::string& name, std::span<const Unit> treated,
-                               std::span<const Unit> control) const {
+QedResult QuasiExperiment::run(const std::string& name, const UnitTable& treated,
+                               const UnitTable& control) const {
   QedResult result;
   result.name = name;
 
@@ -45,7 +45,7 @@ QedResult QuasiExperiment::run(const std::string& name, std::span<const Unit> tr
   std::uint64_t wins = 0;
   std::uint64_t losses = 0;
   for (const auto& p : pairs) {
-    const double d = treated[p.treated_index].outcome - control[p.control_index].outcome;
+    const double d = treated.outcome(p.treated_index) - control.outcome(p.control_index);
     diffs.push_back(d);
     if (d > 0) ++wins;
     if (d < 0) ++losses;

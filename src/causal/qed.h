@@ -53,8 +53,8 @@ class QuasiExperiment {
 
   /// Match `treated` to `control` with calipers and estimate the
   /// treatment effect QED-style.
-  [[nodiscard]] QedResult run(const std::string& name, std::span<const Unit> treated,
-                              std::span<const Unit> control) const;
+  [[nodiscard]] QedResult run(const std::string& name, const UnitTable& treated,
+                              const UnitTable& control) const;
 
   [[nodiscard]] const QedOptions& options() const { return options_; }
 

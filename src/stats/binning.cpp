@@ -81,7 +81,7 @@ EdgeBins::EdgeBins(std::vector<double> edges) : edges_{std::move(edges)} {
 }
 
 std::optional<std::size_t> EdgeBins::bin_of(double x) const {
-  if (x <= edges_.front() || x > edges_.back()) return std::nullopt;
+  if (!(x > edges_.front()) || x > edges_.back()) return std::nullopt;  // NaN too
   const auto it = std::lower_bound(edges_.begin(), edges_.end(), x);
   return static_cast<std::size_t>(it - edges_.begin()) - 1;
 }

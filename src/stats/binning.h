@@ -42,8 +42,8 @@ enum class ServiceTier { kBelow1, k1to8, k8to16, k16to32, kAbove32 };
 [[nodiscard]] std::span<const ServiceTier> all_tiers();
 
 /// Generic right-closed binner over ascending edges:
-/// bin i covers (edges[i], edges[i+1]]. Values <= edges[0] or > edges.back()
-/// return nullopt.
+/// bin i covers (edges[i], edges[i+1]]. Values <= edges[0] or > edges.back(),
+/// and NaN, return nullopt.
 class EdgeBins {
  public:
   explicit EdgeBins(std::vector<double> edges);

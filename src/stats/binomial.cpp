@@ -7,6 +7,7 @@
 
 #include "core/error.h"
 #include "obs/metrics.h"
+#include "obs/span.h"
 #include "stats/column.h"
 
 namespace bblab::stats {
@@ -187,6 +188,7 @@ std::string BinomialTestResult::to_string() const {
 
 BinomialTestResult binomial_test(std::uint64_t successes, std::uint64_t trials,
                                  double p0, double alpha, double practical_margin) {
+  OBS_SPAN("stats.binomial");
   BinomialTestResult r;
   r.successes = successes;
   r.trials = trials;

@@ -49,25 +49,55 @@ TEST(AnalysisCommon, MakeUnitsSkipsNonFinite) {
   auto bad = record("AF", 1, 300, 0.01, 50, 400);
   bad.upgrade_cost_per_mbps = std::nan("");  // weakly-correlated market
   const std::vector<RecordPtr> records{&good, &bad};
-  const auto units =
-      make_units(records, [](const dataset::UserRecord& r) { return peak_down_bps(r, false); },
-                 covariates_quality_and_market());
+  const auto units = make_units(records, peak_down_field(false), covariates::kQualityAndMarket);
   ASSERT_EQ(units.size(), 1u);
-  EXPECT_EQ(units[0].tag, 0u);
-  EXPECT_EQ(units[0].covariates.size(), 4u);
-  EXPECT_DOUBLE_EQ(units[0].covariates[0], 40.0);   // rtt
-  EXPECT_DOUBLE_EQ(units[0].covariates[2], 20.0);   // access price
+  EXPECT_EQ(units.tag(0), 0u);
+  EXPECT_EQ(units.dim(), 4u);
+  EXPECT_DOUBLE_EQ(units.outcome(0), 720e3);
+  EXPECT_DOUBLE_EQ(units.covariates(0)[0], 40.0);   // rtt
+  EXPECT_DOUBLE_EQ(units.covariates(0)[2], 20.0);   // access price
 }
 
 TEST(AnalysisCommon, CovariateSetDimensions) {
-  EXPECT_EQ(covariates_quality_and_market().size(), 4u);
-  EXPECT_EQ(covariates_capacity_and_market().size(), 3u);
-  EXPECT_EQ(covariates_capacity_quality().size(), 3u);
-  EXPECT_EQ(covariates_quality().size(), 2u);
-  EXPECT_EQ(covariates_price_experiment().size(), 4u);
-  EXPECT_EQ(covariates_upgrade_cost_experiment().size(), 4u);
-  EXPECT_EQ(covariates_latency_experiment().size(), 3u);
-  EXPECT_EQ(covariates_loss_experiment().size(), 3u);
+  EXPECT_EQ(covariates::kQualityAndMarket.size(), 4u);
+  EXPECT_EQ(covariates::kCapacityQuality.size(), 3u);
+  EXPECT_EQ(covariates::kQuality.size(), 2u);
+  EXPECT_EQ(covariates::kPriceExperiment.size(), 4u);
+  EXPECT_EQ(covariates::kUpgradeCostExperiment.size(), 4u);
+  EXPECT_EQ(covariates::kLatencyExperiment.size(), 3u);
+  EXPECT_EQ(covariates::kLossExperiment.size(), 3u);
+  EXPECT_EQ(covariates::kCapacity.size(), 1u);
+}
+
+TEST(AnalysisCommon, FieldValuesMatchRecordAccessors) {
+  const auto r = record("US", 10, 40, 0.001, 100, 900);
+  EXPECT_EQ(field_value(r, Field::kCapacityMbps), r.capacity.mbps());
+  EXPECT_EQ(field_value(r, Field::kRttMs), 40.0);
+  EXPECT_EQ(field_value(r, Field::kLoss), 0.001);
+  EXPECT_EQ(field_value(r, Field::kAccessPriceUsd), 20.0);
+  EXPECT_EQ(field_value(r, Field::kUpgradeCostPerMbps), 1.0);
+  for (const bool bt : {true, false}) {
+    EXPECT_EQ(field_value(r, mean_down_field(bt)), mean_down_bps(r, bt));
+    EXPECT_EQ(field_value(r, peak_down_field(bt)), peak_down_bps(r, bt));
+  }
+}
+
+TEST(AnalysisCommon, PartitionKeepsOrderAndDropsOutOfRange) {
+  auto a = record("US", 10, 40, 0.001, 100, 900);
+  auto b = record("JP", 50, 30, 0.0004, 200, 1500);
+  auto c = record("IN", 2, 700, 0.02, 20, 90);
+  auto d = record("AF", 1, 50, 0.0, 10, 40);
+  d.rtt_ms = std::nan("");
+  const std::vector<RecordPtr> records{&a, &b, &c, &d};
+  const auto bands = partition(records, stats::EdgeBins{{0.0, 35.0, 512.0}}, Field::kRttMs);
+  ASSERT_EQ(bands.size(), 2u);
+  EXPECT_EQ(bands[0], (std::vector<RecordPtr>{&b}));
+  EXPECT_EQ(bands[1], (std::vector<RecordPtr>{&a}));  // 700 ms and NaN fall in none
+  const auto by_parity = partition(records, 2, [](const dataset::UserRecord& r) {
+    return static_cast<std::size_t>(r.capacity.mbps()) % 2;
+  });
+  EXPECT_EQ(by_parity[0], (std::vector<RecordPtr>{&a, &b, &c}));
+  EXPECT_EQ(by_parity[1], (std::vector<RecordPtr>{&d}));
 }
 
 TEST(AnalysisCommon, PeakUtilization) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "core/error.h"
 
 namespace bblab::stats {
@@ -72,6 +74,11 @@ TEST(EdgeBins, RightClosedSemantics) {
   EXPECT_EQ(bins.bin_of(25.01).value(), 1u);
   EXPECT_EQ(bins.bin_of(60.0).value(), 1u);
   EXPECT_FALSE(bins.bin_of(60.01).has_value());
+}
+
+TEST(EdgeBins, NanFallsInNoBin) {
+  const EdgeBins bins{{0.0, 25.0, 60.0}};
+  EXPECT_FALSE(bins.bin_of(std::nan("")).has_value());
 }
 
 TEST(EdgeBins, Validation) {

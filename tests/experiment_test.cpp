@@ -7,30 +7,22 @@
 namespace bblab::causal {
 namespace {
 
-Unit unit(double outcome, std::vector<double> covs) {
-  Unit u;
-  u.outcome = outcome;
-  u.covariates = std::move(covs);
-  return u;
-}
-
 /// Build treated/control pools with a shared confounder; `effect` shifts
 /// treated outcomes multiplicatively.
-void build_pools(double effect, std::size_t n, Rng& rng, std::vector<Unit>& treated,
-                 std::vector<Unit>& control) {
+void build_pools(double effect, std::size_t n, Rng& rng, UnitTable& treated,
+                 UnitTable& control) {
   for (std::size_t i = 0; i < n; ++i) {
     const double conf_t = rng.lognormal(2.0, 0.6);
     const double conf_c = rng.lognormal(2.0, 0.6);
-    treated.push_back(
-        unit(conf_t * effect * rng.lognormal(0.0, 0.5), {conf_t}));
-    control.push_back(unit(conf_c * rng.lognormal(0.0, 0.5), {conf_c}));
+    treated.push_back(conf_t * effect * rng.lognormal(0.0, 0.5), {conf_t});
+    control.push_back(conf_c * rng.lognormal(0.0, 0.5), {conf_c});
   }
 }
 
 TEST(NaturalExperiment, DetectsPlantedEffect) {
   Rng rng{3};
-  std::vector<Unit> treated;
-  std::vector<Unit> control;
+  UnitTable treated{1};
+  UnitTable control{1};
   build_pools(1.6, 1500, rng, treated, control);
   const NaturalExperiment experiment{};
   const auto result = experiment.run("planted", treated, control);
@@ -41,8 +33,8 @@ TEST(NaturalExperiment, DetectsPlantedEffect) {
 
 TEST(NaturalExperiment, NullEffectIsInconclusive) {
   Rng rng{5};
-  std::vector<Unit> treated;
-  std::vector<Unit> control;
+  UnitTable treated{1};
+  UnitTable control{1};
   build_pools(1.0, 1500, rng, treated, control);
   const NaturalExperiment experiment{};
   const auto result = experiment.run("placebo", treated, control);
@@ -55,13 +47,13 @@ TEST(NaturalExperiment, ConfoundingWithoutMatchingWouldMislead) {
   // Treated pool has larger confounder values AND outcome = confounder
   // (no real effect). The caliper matching must keep the comparison fair.
   Rng rng{7};
-  std::vector<Unit> treated;
-  std::vector<Unit> control;
+  UnitTable treated{1};
+  UnitTable control{1};
   for (int i = 0; i < 1200; ++i) {
     const double conf_t = rng.lognormal(2.5, 0.5);  // systematically larger
     const double conf_c = rng.lognormal(2.0, 0.5);
-    treated.push_back(unit(conf_t * rng.lognormal(0, 0.3), {conf_t}));
-    control.push_back(unit(conf_c * rng.lognormal(0, 0.3), {conf_c}));
+    treated.push_back(conf_t * rng.lognormal(0, 0.3), {conf_t});
+    control.push_back(conf_c * rng.lognormal(0, 0.3), {conf_c});
   }
   const NaturalExperiment experiment{};
   const auto result = experiment.run("confounded-null", treated, control);
@@ -72,11 +64,11 @@ TEST(NaturalExperiment, ConfoundingWithoutMatchingWouldMislead) {
 }
 
 TEST(NaturalExperiment, TooFewPairsNeverSignificant) {
-  std::vector<Unit> treated;
-  std::vector<Unit> control;
+  UnitTable treated{1};
+  UnitTable control{1};
   for (int i = 0; i < 5; ++i) {
-    treated.push_back(unit(10.0 + i, {1.0}));
-    control.push_back(unit(1.0 + i, {1.0}));
+    treated.push_back(10.0 + i, {1.0});
+    control.push_back(1.0 + i, {1.0});
   }
   const NaturalExperiment experiment{};
   const auto result = experiment.run("tiny", treated, control);
@@ -85,11 +77,11 @@ TEST(NaturalExperiment, TooFewPairsNeverSignificant) {
 }
 
 TEST(NaturalExperiment, TiesAreDroppedByDefault) {
-  std::vector<Unit> treated;
-  std::vector<Unit> control;
+  UnitTable treated{1};
+  UnitTable control{1};
   for (int i = 0; i < 50; ++i) {
-    treated.push_back(unit(7.0, {1.0}));
-    control.push_back(unit(7.0, {1.0}));
+    treated.push_back(7.0, {1.0});
+    control.push_back(7.0, {1.0});
   }
   const NaturalExperiment experiment{};
   const auto result = experiment.run("ties", treated, control);
@@ -99,8 +91,8 @@ TEST(NaturalExperiment, TiesAreDroppedByDefault) {
 
 TEST(NaturalExperiment, BalanceReported) {
   Rng rng{11};
-  std::vector<Unit> treated;
-  std::vector<Unit> control;
+  UnitTable treated{1};
+  UnitTable control{1};
   build_pools(1.2, 500, rng, treated, control);
   const auto result = NaturalExperiment{}.run("balance", treated, control);
   ASSERT_EQ(result.balance.size(), 1u);
@@ -140,8 +132,8 @@ TEST(PairedExperiment, EmptyInput) {
 
 TEST(ExperimentResult, ToStringMentionsEverything) {
   Rng rng{19};
-  std::vector<Unit> treated;
-  std::vector<Unit> control;
+  UnitTable treated{1};
+  UnitTable control{1};
   build_pools(1.5, 300, rng, treated, control);
   const auto result = NaturalExperiment{}.run("fmt", treated, control);
   const auto s = result.to_string();

@@ -10,28 +10,21 @@
 namespace bblab::causal {
 namespace {
 
-Unit unit(double outcome, std::vector<double> covs) {
-  Unit u;
-  u.outcome = outcome;
-  u.covariates = std::move(covs);
-  return u;
-}
-
 TEST(LogisticModel, SeparatesShiftedGroups) {
   Rng rng{3};
-  std::vector<Unit> treated;
-  std::vector<Unit> control;
+  UnitTable treated{2};
+  UnitTable control{2};
   for (int i = 0; i < 600; ++i) {
-    treated.push_back(unit(0, {rng.normal(1.5, 1.0), rng.normal(0, 1)}));
-    control.push_back(unit(0, {rng.normal(-1.5, 1.0), rng.normal(0, 1)}));
+    treated.push_back(0, {rng.normal(1.5, 1.0), rng.normal(0, 1)});
+    control.push_back(0, {rng.normal(-1.5, 1.0), rng.normal(0, 1)});
   }
   const auto model = LogisticModel::fit(treated, control, {});
   int correct = 0;
-  for (const auto& u : treated) {
-    if (model.predict(u.covariates) > 0.5) ++correct;
+  for (std::size_t i = 0; i < treated.size(); ++i) {
+    if (model.predict(treated.covariates(i)) > 0.5) ++correct;
   }
-  for (const auto& u : control) {
-    if (model.predict(u.covariates) < 0.5) ++correct;
+  for (std::size_t i = 0; i < control.size(); ++i) {
+    if (model.predict(control.covariates(i)) < 0.5) ++correct;
   }
   EXPECT_GT(correct, 1100);  // > 91% accuracy on a 3-sigma separation
   // Weight on the informative covariate dominates the noise covariate.
@@ -40,22 +33,26 @@ TEST(LogisticModel, SeparatesShiftedGroups) {
 
 TEST(LogisticModel, IndistinguishableGroupsPredictNearHalf) {
   Rng rng{5};
-  std::vector<Unit> treated;
-  std::vector<Unit> control;
+  UnitTable treated{1};
+  UnitTable control{1};
   for (int i = 0; i < 500; ++i) {
-    treated.push_back(unit(0, {rng.normal(0, 1)}));
-    control.push_back(unit(0, {rng.normal(0, 1)}));
+    treated.push_back(0, {rng.normal(0, 1)});
+    control.push_back(0, {rng.normal(0, 1)});
   }
   const auto model = LogisticModel::fit(treated, control, {});
   double sum = 0.0;
-  for (const auto& u : treated) sum += model.predict(u.covariates);
+  for (std::size_t i = 0; i < treated.size(); ++i) {
+    sum += model.predict(treated.covariates(i));
+  }
   EXPECT_NEAR(sum / 500.0, 0.5, 0.05);
 }
 
 TEST(LogisticModel, ValidatesInput) {
   EXPECT_THROW(LogisticModel::fit({}, {}, {}), InvalidArgument);
-  std::vector<Unit> a{unit(0, {1.0})};
-  std::vector<Unit> b{unit(0, {1.0, 2.0})};
+  UnitTable a{1};
+  a.push_back(0, {1.0});
+  UnitTable b{2};
+  b.push_back(0, {1.0, 2.0});
   EXPECT_THROW(LogisticModel::fit(a, b, {}), InvalidArgument);
   const auto model = LogisticModel::fit(a, a, {});
   EXPECT_THROW(model.predict(std::vector<double>{1.0, 2.0}), InvalidArgument);
@@ -63,11 +60,11 @@ TEST(LogisticModel, ValidatesInput) {
 
 TEST(PropensityMatch, PairsRespectScoreCaliper) {
   Rng rng{7};
-  std::vector<Unit> treated;
-  std::vector<Unit> control;
+  UnitTable treated{1};
+  UnitTable control{1};
   for (int i = 0; i < 400; ++i) {
-    treated.push_back(unit(rng.uniform(), {rng.normal(0.5, 1.0)}));
-    control.push_back(unit(rng.uniform(), {rng.normal(-0.5, 1.0)}));
+    treated.push_back(rng.uniform(), {rng.normal(0.5, 1.0)});
+    control.push_back(rng.uniform(), {rng.normal(-0.5, 1.0)});
   }
   PropensityOptions options;
   options.score_caliper = 0.03;
@@ -83,11 +80,11 @@ TEST(PropensityMatch, PairsRespectScoreCaliper) {
 TEST(PropensityMatch, BalancesCovariatesOnOverlap) {
   // Shifted but overlapping groups: matched subsample must be balanced.
   Rng rng{9};
-  std::vector<Unit> treated;
-  std::vector<Unit> control;
+  UnitTable treated{1};
+  UnitTable control{1};
   for (int i = 0; i < 600; ++i) {
-    treated.push_back(unit(0, {rng.lognormal(0.5, 0.5)}));
-    control.push_back(unit(0, {rng.lognormal(0.0, 0.5)}));
+    treated.push_back(0, {rng.lognormal(0.5, 0.5)});
+    control.push_back(0, {rng.lognormal(0.0, 0.5)});
   }
   const auto result = propensity_match(treated, control, {});
   ASSERT_GT(result.pairs.size(), 100u);
@@ -101,11 +98,11 @@ TEST(PropensityMatch, YieldsMorePairsThanTightCalipers) {
   // The classic trade-off the ablation bench quantifies: propensity
   // matching on a coarse score accepts pairs exact calipers reject.
   Rng rng{11};
-  std::vector<Unit> treated;
-  std::vector<Unit> control;
+  UnitTable treated{2};
+  UnitTable control{2};
   for (int i = 0; i < 500; ++i) {
-    treated.push_back(unit(0, {rng.lognormal(1.0, 0.9), rng.lognormal(3.0, 0.7)}));
-    control.push_back(unit(0, {rng.lognormal(0.6, 0.9), rng.lognormal(2.6, 0.7)}));
+    treated.push_back(0, {rng.lognormal(1.0, 0.9), rng.lognormal(3.0, 0.7)});
+    control.push_back(0, {rng.lognormal(0.6, 0.9), rng.lognormal(2.6, 0.7)});
   }
   const auto prop = propensity_match(treated, control, {});
   const auto exact = CaliperMatcher{MatcherOptions{.caliper = 0.1}}.match(treated, control);

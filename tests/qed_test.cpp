@@ -8,20 +8,13 @@
 namespace bblab::causal {
 namespace {
 
-Unit unit(double outcome, std::vector<double> covs) {
-  Unit u;
-  u.outcome = outcome;
-  u.covariates = std::move(covs);
-  return u;
-}
-
-void build_pools(double effect, std::size_t n, Rng& rng, std::vector<Unit>& treated,
-                 std::vector<Unit>& control) {
+void build_pools(double effect, std::size_t n, Rng& rng, UnitTable& treated,
+                 UnitTable& control) {
   for (std::size_t i = 0; i < n; ++i) {
     const double conf_t = rng.lognormal(2.0, 0.6);
     const double conf_c = rng.lognormal(2.0, 0.6);
-    treated.push_back(unit(conf_t * effect * rng.lognormal(0.0, 0.4), {conf_t}));
-    control.push_back(unit(conf_c * rng.lognormal(0.0, 0.4), {conf_c}));
+    treated.push_back(conf_t * effect * rng.lognormal(0.0, 0.4), {conf_t});
+    control.push_back(conf_c * rng.lognormal(0.0, 0.4), {conf_c});
   }
 }
 
@@ -41,8 +34,8 @@ TEST(SignTest, SymmetricInWinsLosses) {
 
 TEST(QuasiExperiment, DetectsPlantedEffectWithSizeEstimate) {
   Rng rng{3};
-  std::vector<Unit> treated;
-  std::vector<Unit> control;
+  UnitTable treated{1};
+  UnitTable control{1};
   build_pools(1.5, 1200, rng, treated, control);
   const QuasiExperiment qed{};
   const auto result = qed.run("planted", treated, control);
@@ -59,8 +52,8 @@ TEST(QuasiExperiment, DetectsPlantedEffectWithSizeEstimate) {
 
 TEST(QuasiExperiment, NullEffectIsInsignificant) {
   Rng rng{5};
-  std::vector<Unit> treated;
-  std::vector<Unit> control;
+  UnitTable treated{1};
+  UnitTable control{1};
   build_pools(1.0, 1200, rng, treated, control);
   const auto result = QuasiExperiment{}.run("null", treated, control);
   ASSERT_GT(result.pairs, 400u);
@@ -73,8 +66,8 @@ TEST(QuasiExperiment, NullEffectIsInsignificant) {
 
 TEST(QuasiExperiment, DeterministicGivenSeed) {
   Rng rng{7};
-  std::vector<Unit> treated;
-  std::vector<Unit> control;
+  UnitTable treated{1};
+  UnitTable control{1};
   build_pools(1.3, 300, rng, treated, control);
   const auto a = QuasiExperiment{}.run("d", treated, control);
   const auto b = QuasiExperiment{}.run("d", treated, control);
@@ -92,8 +85,8 @@ TEST(QuasiExperiment, EmptyPoolsAreGraceful) {
 TEST(QuasiExperiment, AgreesInDirectionWithNaturalExperiment) {
   // The two designs should agree on direction for a clear planted effect.
   Rng rng{11};
-  std::vector<Unit> treated;
-  std::vector<Unit> control;
+  UnitTable treated{1};
+  UnitTable control{1};
   build_pools(1.6, 800, rng, treated, control);
   const auto qed = QuasiExperiment{}.run("q", treated, control);
   EXPECT_GT(qed.net_score, 0.0);
