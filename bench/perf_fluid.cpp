@@ -5,9 +5,6 @@
 // that dominate pipeline time: a lone flow, a small saturated mix, a
 // BitTorrent-heavy 64-flow swarm, and a saturated link with bufferbloat
 // (whose cap refreshes are the incremental engine's worst case).
-//
-// Record results with:
-//   ./bench/perf_fluid --benchmark_format=json > BENCH_fluid.json
 #include <benchmark/benchmark.h>
 
 #include <algorithm>

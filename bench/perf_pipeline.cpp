@@ -5,8 +5,6 @@
 
 #include <algorithm>
 #include <array>
-#include <chrono>
-#include <limits>
 #include <span>
 
 #include "causal/matching.h"
@@ -17,6 +15,7 @@
 #include "measurement/pipeline.h"
 #include "netsim/fluid.h"
 #include "netsim/workload.h"
+#include "skewed_schedule.h"
 #include "stats/binomial.h"
 
 namespace {
@@ -174,95 +173,16 @@ BENCHMARK(BM_ParallelPipeline)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
 
 // --- skewed-workload scheduling: work-stealing vs static partition --------
 //
-// The adversarial case for static contiguous partitioning: a few heavy
-// households (prime-time BitTorrent, full-day traces) clustered at the
-// front of the task list while the rest are near-idle. A static split
-// hands every heavy task to worker 0; the stealing pool over-partitions
-// into ~8 blocks per worker and idle workers steal the surplus.
-//
-// The CI box is single-core, so wall-clock speedup is unmeasurable
-// there. Instead each task's serial cost is measured once, and the two
-// schedules are simulated over those measured costs: the reported
-// counters are deterministic makespans (ms) plus their ratio —
-// "virtual_speedup_vs_static" is the acceptance number and is >= 2 at
-// 4+ threads. real_time still tracks the live pool run end to end.
+// The model lives in skewed_schedule.h; `skewed_schedule_test` gates its
+// ratio ("virtual_speedup_vs_static" >= 2 at 4+ workers). real_time here
+// still tracks the live pool run end to end.
 
-std::vector<measurement::HouseholdTask> skewed_tasks() {
-  std::vector<measurement::HouseholdTask> tasks(48);
-  for (std::size_t i = 0; i < tasks.size(); ++i) {
-    auto& t = tasks[i];
-    const bool heavy = i < 6;  // clustered: worst case for a static split
-    t.link.down = Rate::from_mbps(heavy ? 100.0 : 8.0);
-    t.link.up = Rate::from_mbps(heavy ? 10.0 : 1.0);
-    t.link.rtt_ms = heavy ? 20.0 : 120.0;
-    t.link.loss = 0.001;
-    t.workload.intensity = heavy ? 3.0 : 0.05;
-    t.workload.bt_sessions_per_day = heavy ? 6.0 : 0.0;
-    t.bins = heavy ? 2880 : 120;
-    t.collector = measurement::CollectorKind::kDasu;
-    t.stream_id = 9000 + i;
-  }
-  return tasks;
-}
-
-/// Serial cost of each task in milliseconds, measured once (best of 3).
+/// Serial task costs, measured once per process for every Arg.
 const std::vector<double>& skewed_task_costs(
     const measurement::PipelineToolkit& kit,
     std::span<const measurement::HouseholdTask> tasks) {
-  static const std::vector<double> costs = [&] {
-    const Rng base{2014};
-    core::ThreadPool serial{1};
-    std::vector<double> out(tasks.size());
-    for (std::size_t i = 0; i < tasks.size(); ++i) {
-      double best = std::numeric_limits<double>::infinity();
-      for (int rep = 0; rep < 3; ++rep) {
-        const auto t0 = std::chrono::steady_clock::now();
-        benchmark::DoNotOptimize(measurement::parallel_simulate_households(
-            kit, tasks.subspan(i, 1), base, serial));
-        const auto t1 = std::chrono::steady_clock::now();
-        best = std::min(
-            best, std::chrono::duration<double, std::milli>{t1 - t0}.count());
-      }
-      out[i] = best;
-    }
-    return out;
-  }();
+  static const std::vector<double> costs = bench::measure_task_costs(kit, tasks);
   return costs;
-}
-
-/// Makespan of a static contiguous partition: ceil(n/workers) tasks per
-/// worker, no stealing — the pre-work-stealing schedule.
-double static_makespan(std::span<const double> costs, std::size_t workers) {
-  const std::size_t n = costs.size();
-  const std::size_t chunk = (n + workers - 1) / workers;
-  double worst = 0.0;
-  for (std::size_t w = 0; w * chunk < n; ++w) {
-    double sum = 0.0;
-    for (std::size_t i = w * chunk; i < std::min(n, (w + 1) * chunk); ++i) {
-      sum += costs[i];
-    }
-    worst = std::max(worst, sum);
-  }
-  return worst;
-}
-
-/// Makespan of the stealing schedule: the same over-partitioning as
-/// core::parallel_for (kBlocksPerWorker = 8), blocks list-scheduled
-/// greedily — a free worker always takes the next unclaimed block, which
-/// is exactly what deque + steal converges to.
-double steal_makespan(std::span<const double> costs, std::size_t workers) {
-  const std::size_t n = costs.size();
-  const std::size_t blocks = workers == 1 ? 1 : std::min(n, workers * 8);
-  const std::size_t chunk = (n + blocks - 1) / blocks;
-  std::vector<double> finish(workers, 0.0);
-  for (std::size_t b = 0; b * chunk < n; ++b) {
-    double sum = 0.0;
-    for (std::size_t i = b * chunk; i < std::min(n, (b + 1) * chunk); ++i) {
-      sum += costs[i];
-    }
-    *std::min_element(finish.begin(), finish.end()) += sum;
-  }
-  return *std::max_element(finish.begin(), finish.end());
 }
 
 void BM_SkewedPipelineSchedule(benchmark::State& state) {
@@ -277,7 +197,7 @@ void BM_SkewedPipelineSchedule(benchmark::State& state) {
   kit.dasu = &dasu;
   kit.gateway = &gateway;
 
-  const auto tasks = skewed_tasks();
+  const auto tasks = bench::skewed_tasks();
   const auto& costs = skewed_task_costs(kit, tasks);
   const auto workers = static_cast<std::size_t>(state.range(0));
 
@@ -287,8 +207,8 @@ void BM_SkewedPipelineSchedule(benchmark::State& state) {
     benchmark::DoNotOptimize(
         measurement::parallel_simulate_households(kit, tasks, base, pool));
   }
-  const double stat = static_makespan(costs, workers);
-  const double steal = steal_makespan(costs, workers);
+  const double stat = bench::static_makespan(costs, workers);
+  const double steal = bench::steal_makespan(costs, workers);
   state.counters["static_makespan_ms"] = stat;
   state.counters["steal_makespan_ms"] = steal;
   state.counters["virtual_speedup_vs_static"] = stat / steal;

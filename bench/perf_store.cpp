@@ -14,8 +14,7 @@
 // Arg is population scale in thousandths: 100 -> scale 0.1 (~7k simulated
 // household-windows across the three study years), 1600 -> scale 1.6
 // (~100k). Each benchmark reports the window count it covered; the
-// headline claim recorded in BENCH_store.json is SnapshotLoad vs
-// ColdSimulate at the 100k scale.
+// headline comparison is SnapshotLoad vs ColdSimulate at the 100k scale.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>

@@ -1,27 +1,74 @@
-// Stable streaming 64-bit hashing.
+// Stable 64-bit hashing and checksumming.
 //
-// The snapshot store and the simulation cache both need a hash that is
-// (a) identical across platforms, compilers, and library builds — it is
-// written into files and used as an on-disk cache key — and (b) cheap
-// enough to checksum multi-megabyte column buffers. std::hash guarantees
-// neither, so this is a self-contained FNV-1a core with a splitmix64
-// avalanche finalizer: byte-order independent (input is consumed as
-// bytes, multi-byte values are serialized little-endian first), and every
-// single-byte change provably changes the digest (both the FNV round and
-// the finalizer are bijections on the 64-bit state).
+// The snapshot store and the simulation cache both need hashes that are
+// identical across platforms, compilers, and library builds — they are
+// written into files and used as on-disk cache keys — which std::hash
+// does not guarantee. Two self-contained functions cover the two jobs:
 //
-// Typed update helpers canonicalize their input so fingerprints are
-// well-defined: doubles are hashed by bit pattern with -0.0 folded onto
-// +0.0 and every NaN folded onto one canonical NaN; strings are
+//   * Hasher / hash_bytes: a streaming FNV-1a core with a splitmix64
+//     avalanche finalizer, for fingerprints, cache keys and manifest
+//     lines. It consumes one byte at a time through one serial multiply
+//     chain (well under 1 GB/s), which is fine for the short, typed
+//     inputs it sees. Byte-order independent (input is consumed as bytes,
+//     multi-byte values are serialized little-endian first), and every
+//     single-byte change provably changes the digest (both the FNV round
+//     and the finalizer are bijections on the 64-bit state).
+//   * checksum64: a one-shot word-wise checksum for .bbs section
+//     payloads, which are hundreds of kilobytes and are verified on every
+//     load. It absorbs little-endian 64-bit words into four independent
+//     lanes, so it runs at memory speed, and it keeps the same guarantee:
+//     any single-byte change provably changes the checksum (DESIGN.md
+//     §6.1 gives the definition and the proof).
+//
+// Typed Hasher update helpers canonicalize their input so fingerprints
+// are well-defined: doubles are hashed by bit pattern with -0.0 folded
+// onto +0.0 and every NaN folded onto one canonical NaN; strings are
 // length-prefixed so consecutive fields cannot alias each other.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <string_view>
+#include <type_traits>
 
 namespace bblab::core {
+
+/// Read an unsigned integer stored little-endian at `p` (any alignment):
+/// one load, byte-swapped only on a big-endian host.
+template <typename T>
+[[nodiscard]] inline T load_le(const void* p) {
+  static_assert(std::is_unsigned_v<T>);
+  T v = 0;
+  std::memcpy(&v, p, sizeof v);
+  if constexpr (std::endian::native == std::endian::big) {
+    T swapped = 0;
+    for (std::size_t i = 0; i < sizeof v; ++i) {
+      swapped = static_cast<T>((swapped << 8) | ((v >> (8 * i)) & 0xFF));
+    }
+    v = swapped;
+  }
+  return v;
+}
+
+/// Store `v` little-endian at `p` (any alignment); the inverse of load_le.
+template <typename T>
+inline void store_le(void* p, T v) {
+  static_assert(std::is_unsigned_v<T>);
+  if constexpr (std::endian::native == std::endian::big) {
+    v = load_le<T>(&v);  // a byte swap is its own inverse
+  }
+  std::memcpy(p, &v, sizeof v);
+}
+
+/// splitmix64's finalizer: a bijective avalanche of a 64-bit state, so
+/// nearby states do not produce nearby digests.
+[[nodiscard]] constexpr std::uint64_t splitmix64_finalize(std::uint64_t z) {
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+  return z ^ (z >> 31);
+}
 
 class Hasher {
  public:
@@ -76,14 +123,7 @@ class Hasher {
   }
 
   /// Finalized digest (non-destructive; more input may still be added).
-  [[nodiscard]] std::uint64_t digest() const {
-    // splitmix64 finalizer: avalanche the FNV state so nearby inputs do
-    // not produce nearby digests.
-    std::uint64_t z = state_;
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-    return z ^ (z >> 31);
-  }
+  [[nodiscard]] std::uint64_t digest() const { return splitmix64_finalize(state_); }
 
  private:
   static constexpr std::uint64_t kOffsetBasis = 0xCBF29CE484222325ULL;
@@ -93,8 +133,19 @@ class Hasher {
   std::uint64_t state_;
 };
 
-/// One-shot convenience for checksumming a buffer.
+/// One-shot Hasher over a buffer (FNV-1a + finalizer; byte-serial).
 [[nodiscard]] std::uint64_t hash_bytes(const void* data, std::size_t size,
                                        std::uint64_t seed = 0);
+
+/// Word-wise checksum of a buffer, the .bbs section and footer checksum.
+/// Little-endian 64-bit word i is absorbed into lane i mod 4 by
+/// `lane = rotl((lane ^ word) * M, 31)`; a final partial word is
+/// zero-padded into the next lane; the length and then the four lanes are
+/// folded into the state by the same step; splitmix64 finalizes. Every
+/// step is a bijection, so buffers of equal length that differ in one
+/// byte always checksum differently. The value is part of the on-disk
+/// format: changing it requires a .bbs format version bump.
+[[nodiscard]] std::uint64_t checksum64(const void* data, std::size_t size,
+                                       std::uint64_t seed);
 
 }  // namespace bblab::core

@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <array>
 #include <atomic>
 #include <bit>
 #include <cstring>
@@ -13,6 +14,7 @@
 #include "behavior/archetype.h"
 #include "core/fs.h"
 #include "core/hash.h"
+#include "obs/span.h"
 
 namespace bblab::store {
 
@@ -24,8 +26,15 @@ constexpr std::uint32_t kEndianTag = 0x01020304;
 constexpr std::size_t kHeaderSize = 16;   // magic + endian tag + version
 constexpr std::size_t kTrailerSize = 24;  // footer size + footer checksum + magic
 /// Checksum domain separator so a section checksum can never be confused
-/// with a plain hash of the same bytes computed elsewhere.
+/// with a checksum of the same bytes computed elsewhere.
 constexpr std::uint64_t kChecksumSeed = 0xBB5C4EC6;
+/// Sections in file order; the reader requires every one of them.
+constexpr std::array<const char*, 6> kSections = {"config",   "dasu",    "fcc",
+                                                  "upgrades", "markets", "qc"};
+
+std::uint64_t checksum(std::string_view bytes) {
+  return core::checksum64(bytes.data(), bytes.size(), kChecksumSeed);
+}
 
 // ---------------------------------------------------------------------------
 // Little-endian byte buffer primitives.
@@ -33,26 +42,28 @@ constexpr std::uint64_t kChecksumSeed = 0xBB5C4EC6;
 class ByteWriter {
  public:
   void u8(std::uint8_t v) { buf_.push_back(static_cast<char>(v)); }
-  void u32(std::uint32_t v) {
-    for (int shift = 0; shift < 32; shift += 8) {
-      buf_.push_back(static_cast<char>((v >> shift) & 0xFF));
-    }
-  }
-  void u64(std::uint64_t v) {
-    u32(static_cast<std::uint32_t>(v));
-    u32(static_cast<std::uint32_t>(v >> 32));
-  }
+  void u32(std::uint32_t v) { word(v); }
+  void u64(std::uint64_t v) { word(v); }
   void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
   /// Raw bit pattern: NaN payloads and -0.0 survive the round trip.
   void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
-  void str(const std::string& s) {
+  void str(std::string_view s) {
     u64(s.size());
-    buf_.append(s);
+    raw(s);
   }
+  /// Unframed bytes (magics).
+  void raw(std::string_view s) { buf_.append(s); }
 
   [[nodiscard]] const std::string& bytes() const { return buf_; }
 
  private:
+  template <typename T>
+  void word(T v) {
+    char le[sizeof v];
+    core::store_le(le, v);
+    buf_.append(le, sizeof le);
+  }
+
   std::string buf_;
 };
 
@@ -65,19 +76,8 @@ class ByteReader {
     need(1);
     return static_cast<std::uint8_t>(data_[pos_++]);
   }
-  [[nodiscard]] std::uint32_t u32() {
-    need(4);
-    std::uint32_t v = 0;
-    for (int shift = 0; shift < 32; shift += 8) {
-      v |= static_cast<std::uint32_t>(static_cast<unsigned char>(data_[pos_++]))
-           << shift;
-    }
-    return v;
-  }
-  [[nodiscard]] std::uint64_t u64() {
-    const std::uint64_t lo = u32();
-    return lo | (static_cast<std::uint64_t>(u32()) << 32);
-  }
+  [[nodiscard]] std::uint32_t u32() { return word<std::uint32_t>(); }
+  [[nodiscard]] std::uint64_t u64() { return word<std::uint64_t>(); }
   [[nodiscard]] std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
   [[nodiscard]] double f64() { return std::bit_cast<double>(u64()); }
   [[nodiscard]] std::string str() {
@@ -112,6 +112,15 @@ class ByteReader {
   }
 
  private:
+  /// One bounds check and one little-endian load per value.
+  template <typename T>
+  [[nodiscard]] T word() {
+    need(sizeof(T));
+    const T v = core::load_le<T>(data_.data() + pos_);
+    pos_ += sizeof(T);
+    return v;
+  }
+
   void need(std::uint64_t n) {
     if (n > remaining()) {
       throw SnapshotError{QuarantineReason::kFormatMismatch,
@@ -465,17 +474,6 @@ core::QuarantineReport decode_qc(ByteReader& r) {
 // ---------------------------------------------------------------------------
 // Framing.
 
-void append_u32(std::string& out, std::uint32_t v) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    out.push_back(static_cast<char>((v >> shift) & 0xFF));
-  }
-}
-
-void append_u64(std::string& out, std::uint64_t v) {
-  append_u32(out, static_cast<std::uint32_t>(v));
-  append_u32(out, static_cast<std::uint32_t>(v >> 32));
-}
-
 /// Bounds-checked slice of a snapshot's byte image: a range that
 /// leaves the file is framing damage, never an out-of-bounds read.
 std::string_view slice(std::string_view file, std::uint64_t offset,
@@ -531,8 +529,7 @@ SnapshotInfo read_index(std::string_view file) {
   }
   const std::uint64_t footer_offset = file_size - kTrailerSize - footer_size;
   const std::string_view footer = slice(file, footer_offset, footer_size);
-  if (core::hash_bytes(footer.data(), footer.size(), kChecksumSeed) !=
-      footer_checksum) {
+  if (checksum(footer) != footer_checksum) {
     throw SnapshotError{QuarantineReason::kChecksumMismatch,
                         "footer index failed its checksum"};
   }
@@ -565,72 +562,50 @@ SnapshotInfo read_index(std::string_view file) {
 /// view escapes: corrupt bytes are never visible through the return
 /// value.
 std::string_view load_section(std::string_view file, const SnapshotInfo& info,
-                              const std::string& name) {
+                              std::string_view name) {
   for (const auto& s : info.sections) {
     if (s.name != name) continue;
     const std::string_view payload = slice(file, s.offset, s.size);
-    if (core::hash_bytes(payload.data(), payload.size(), kChecksumSeed) !=
-        s.checksum) {
+    if (checksum(payload) != s.checksum) {
       throw SnapshotError{QuarantineReason::kChecksumMismatch,
-                          "section '" + name + "' failed its checksum"};
+                          "section '" + std::string{name} + "' failed its checksum"};
     }
     return payload;
   }
   throw SnapshotError{QuarantineReason::kFormatMismatch,
-                      "snapshot is missing section '" + name + "'"};
+                      "snapshot is missing section '" + std::string{name} + "'"};
 }
 
 }  // namespace
 
 void write_snapshot(std::ostream& out, const dataset::StudyDataset& ds) {
+  const auto put = [&](std::string_view bytes) {
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  };
   // Header.
-  std::string header;
-  header.append(kHeaderMagic, sizeof kHeaderMagic);
-  append_u32(header, kEndianTag);
-  append_u32(header, kFormatVersion);
-  out.write(header.data(), static_cast<std::streamsize>(header.size()));
+  ByteWriter header;
+  header.raw({kHeaderMagic, sizeof kHeaderMagic});
+  header.u32(kEndianTag);
+  header.u32(kFormatVersion);
+  put(header.bytes());
 
-  // Sections, sequentially after the header.
+  // Sections, sequentially after the header, in kSections order.
   std::vector<SectionInfo> sections;
   std::uint64_t offset = kHeaderSize;
-  const auto emit = [&](const std::string& name, const ByteWriter& w) {
+  const auto emit = [&](const char* name, auto&& encode) {
+    ByteWriter w;
+    encode(w);
     const std::string& payload = w.bytes();
-    sections.push_back({name, offset, payload.size(),
-                        core::hash_bytes(payload.data(), payload.size(),
-                                         kChecksumSeed)});
-    out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
+    sections.push_back({name, offset, payload.size(), checksum(payload)});
+    put(payload);
     offset += payload.size();
   };
-  {
-    ByteWriter w;
-    encode_config(w, ds.config);
-    emit("config", w);
-  }
-  {
-    ByteWriter w;
-    encode_user_records(w, ds.dasu);
-    emit("dasu", w);
-  }
-  {
-    ByteWriter w;
-    encode_user_records(w, ds.fcc);
-    emit("fcc", w);
-  }
-  {
-    ByteWriter w;
-    encode_upgrades(w, ds.upgrades);
-    emit("upgrades", w);
-  }
-  {
-    ByteWriter w;
-    encode_markets(w, ds.markets);
-    emit("markets", w);
-  }
-  {
-    ByteWriter w;
-    encode_qc(w, ds.qc);
-    emit("qc", w);
-  }
+  emit(kSections[0], [&](ByteWriter& w) { encode_config(w, ds.config); });
+  emit(kSections[1], [&](ByteWriter& w) { encode_user_records(w, ds.dasu); });
+  emit(kSections[2], [&](ByteWriter& w) { encode_user_records(w, ds.fcc); });
+  emit(kSections[3], [&](ByteWriter& w) { encode_upgrades(w, ds.upgrades); });
+  emit(kSections[4], [&](ByteWriter& w) { encode_markets(w, ds.markets); });
+  emit(kSections[5], [&](ByteWriter& w) { encode_qc(w, ds.qc); });
 
   // Footer index + trailer.
   ByteWriter footer;
@@ -641,13 +616,12 @@ void write_snapshot(std::ostream& out, const dataset::StudyDataset& ds) {
     footer.u64(s.size);
     footer.u64(s.checksum);
   }
-  const std::string& fbytes = footer.bytes();
-  out.write(fbytes.data(), static_cast<std::streamsize>(fbytes.size()));
-  std::string trailer;
-  append_u64(trailer, fbytes.size());
-  append_u64(trailer, core::hash_bytes(fbytes.data(), fbytes.size(), kChecksumSeed));
-  trailer.append(kFooterMagic, sizeof kFooterMagic);
-  out.write(trailer.data(), static_cast<std::streamsize>(trailer.size()));
+  put(footer.bytes());
+  ByteWriter trailer;
+  trailer.u64(footer.bytes().size());
+  trailer.u64(checksum(footer.bytes()));
+  trailer.raw({kFooterMagic, sizeof kFooterMagic});
+  put(trailer.bytes());
   if (!out) throw IoError{"write_snapshot: stream write failed"};
 }
 
@@ -698,42 +672,38 @@ auto guard_decode(const char* what, Fn&& fn) -> decltype(fn()) {
   }
 }
 
-/// Decode a full dataset from a snapshot's byte image. Each decoder
-/// reads its columns straight out of `file` into the destination
-/// vectors; no section is copied on the way.
+/// Run `decode` over a whole section payload; leftover bytes are damage.
+template <typename Decode>
+auto decode_section(std::string_view payload, const char* name, Decode&& decode) {
+  ByteReader r{payload, name};
+  auto value = decode(r);
+  r.expect_exhausted();
+  return value;
+}
+
+/// Decode a full dataset from a snapshot's byte image. Every section is
+/// checksum-verified before any is decoded; each decoder then reads its
+/// columns straight out of `file` into the destination vectors, and no
+/// section is copied on the way.
 dataset::StudyDataset decode_dataset(std::string_view file, const SnapshotInfo& info,
                                      const market::World& world) {
+  std::array<std::string_view, kSections.size()> payload;
+  {
+    OBS_SPAN("bbs.verify");
+    for (std::size_t i = 0; i < kSections.size(); ++i) {
+      payload[i] = load_section(file, info, kSections[i]);
+    }
+  }
+  OBS_SPAN("bbs.decode");
   dataset::StudyDataset ds;
-  {
-    ByteReader r{load_section(file, info, "config"), "config"};
-    ds.config = decode_config(r);
-    r.expect_exhausted();
-  }
-  {
-    ByteReader r{load_section(file, info, "dasu"), "dasu"};
-    ds.dasu = decode_user_records(r);
-    r.expect_exhausted();
-  }
-  {
-    ByteReader r{load_section(file, info, "fcc"), "fcc"};
-    ds.fcc = decode_user_records(r);
-    r.expect_exhausted();
-  }
-  {
-    ByteReader r{load_section(file, info, "upgrades"), "upgrades"};
-    ds.upgrades = decode_upgrades(r);
-    r.expect_exhausted();
-  }
-  {
-    ByteReader r{load_section(file, info, "markets"), "markets"};
-    ds.markets = decode_markets(r, world);
-    r.expect_exhausted();
-  }
-  {
-    ByteReader r{load_section(file, info, "qc"), "qc"};
-    ds.qc = decode_qc(r);
-    r.expect_exhausted();
-  }
+  ds.config = decode_section(payload[0], kSections[0], decode_config);
+  ds.dasu = decode_section(payload[1], kSections[1], decode_user_records);
+  ds.fcc = decode_section(payload[2], kSections[2], decode_user_records);
+  ds.upgrades = decode_section(payload[3], kSections[3], decode_upgrades);
+  ds.markets = decode_section(payload[4], kSections[4], [&](ByteReader& r) {
+    return decode_markets(r, world);
+  });
+  ds.qc = decode_section(payload[5], kSections[5], decode_qc);
   return ds;
 }
 
@@ -766,10 +736,7 @@ std::string_view SnapshotView::section(const std::string& name) const {
 
 dataset::StudyConfig SnapshotView::config() const {
   return guard_decode("SnapshotView::config", [&] {
-    ByteReader r{section("config"), "config"};
-    auto config = decode_config(r);
-    r.expect_exhausted();
-    return config;
+    return decode_section(section(kSections[0]), kSections[0], decode_config);
   });
 }
 

@@ -11,13 +11,16 @@
 //      fresh simulation it snapshotted.
 //   2. Corruption-safe: every byte of the file is covered by either a
 //      validated constant (magics, version, endian tag) or a 64-bit
-//      checksum (section payloads, footer). Any single-byte flip is
-//      detected and surfaces as a typed SnapshotError — never a crash,
-//      never silently wrong data.
+//      checksum (section payloads, footer), and every load verifies all
+//      of them. The checksum is core::checksum64, word-wise over four
+//      lanes, so verification runs at memory speed. Any single-byte flip
+//      is detected and surfaces as a typed SnapshotError — never a
+//      crash, never silently wrong data.
 //   3. Columnar: big sections store one field across all records
 //      contiguously, and the reader decodes column-at-a-time straight
 //      from the file's byte image into the destination vector — no
-//      intermediate row objects and no per-section buffers.
+//      intermediate row objects and no per-section buffers. Each value
+//      read is one bounds check plus one little-endian word load.
 //   4. Seekable: a footer index maps section name -> (offset, size,
 //      checksum), so `bblab cat` and partial readers locate any section
 //      in O(1) without scanning the file.
@@ -42,9 +45,10 @@
 
 namespace bblab::store {
 
-/// On-disk format version. Bump on any layout change; readers reject
-/// other versions (kFormatMismatch) rather than guessing.
-inline constexpr std::uint32_t kFormatVersion = 1;
+/// On-disk format version. Bump on any layout or checksum change; readers
+/// reject other versions (kFormatMismatch) rather than guessing. v2 has
+/// v1's layout with core::checksum64 in place of FNV-1a checksums.
+inline constexpr std::uint32_t kFormatVersion = 2;
 
 /// Typed rejection: what exactly is wrong with a snapshot, expressed in
 /// the same QuarantineReason taxonomy lenient ingest uses —

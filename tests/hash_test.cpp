@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <cstdint>
 #include <limits>
+#include <random>
 #include <set>
 #include <string>
 #include <vector>
@@ -125,6 +127,91 @@ TEST(HashBytes, MatchesStreamingHasher) {
   Hasher h{99};
   h.update(msg.data(), msg.size());
   EXPECT_EQ(hash_bytes(msg.data(), msg.size(), 99), h.digest());
+}
+
+TEST(HashBytes, GoldenValueIsStable) {
+  // Fingerprints, cache keys and checkpoint MANIFEST lines are stored
+  // hash_bytes/Hasher digests; this value pins them.
+  const std::string msg = "broadband markets and the behavior of users";
+  EXPECT_EQ(hash_bytes(msg.data(), msg.size(), 0xBB5C4EC6), 0xF5E6C4DD5CC4EE51ULL);
+}
+
+TEST(LittleEndian, LoadsAndStoresAreByteOrderExplicit) {
+  const unsigned char bytes[9] = {0xFF, 0x01, 0x02, 0x03, 0x04,
+                                  0x05, 0x06, 0x07, 0x08};
+  // Unaligned on purpose: the loads must not assume alignment.
+  EXPECT_EQ(load_le<std::uint64_t>(bytes + 1), 0x0807060504030201ULL);
+  EXPECT_EQ(load_le<std::uint32_t>(bytes + 1), 0x04030201U);
+  unsigned char out[9] = {};
+  store_le<std::uint64_t>(out + 1, 0x0807060504030201ULL);
+  EXPECT_EQ(0, std::memcmp(out + 1, bytes + 1, 8));
+  store_le<std::uint32_t>(out, 0xA1B2C3D4U);
+  EXPECT_EQ(out[0], 0xD4);
+  EXPECT_EQ(out[3], 0xA1);
+}
+
+/// Deterministic pseudo-random bytes.
+std::vector<unsigned char> random_bytes(std::size_t n, std::uint64_t seed) {
+  std::mt19937_64 gen{seed};
+  std::vector<unsigned char> out(n);
+  for (auto& b : out) b = static_cast<unsigned char>(gen());
+  return out;
+}
+
+TEST(Checksum64, EveryBitFlipAtEveryLengthChangesTheChecksum) {
+  // Covers the 4-lane block boundary (31/32/33, 63/64/65), every tail
+  // length, and a flip in every lane and in the zero-padded tail word.
+  const auto base = random_bytes(100, 18);
+  for (std::size_t n = 0; n <= base.size(); ++n) {
+    std::vector<unsigned char> msg(base.begin(), base.begin() + n);
+    const std::uint64_t clean = checksum64(msg.data(), n, 7);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (int bit = 0; bit < 8; ++bit) {
+        msg[i] ^= static_cast<unsigned char>(1 << bit);
+        ASSERT_NE(checksum64(msg.data(), n, 7), clean)
+            << "length " << n << " byte " << i << " bit " << bit;
+        msg[i] ^= static_cast<unsigned char>(1 << bit);
+      }
+    }
+  }
+}
+
+TEST(Checksum64, InputsThatDifferOnlyInLengthDiffer) {
+  // Zero bytes pad the tail word, so "abc" and "abc\0" absorb the same
+  // words; the folded length must still tell them apart.
+  for (const auto& base : {std::vector<unsigned char>(100, 0), random_bytes(100, 3)}) {
+    std::set<std::uint64_t> seen;
+    for (std::size_t n = 0; n <= base.size(); ++n) {
+      seen.insert(checksum64(base.data(), n, 0));
+    }
+    EXPECT_EQ(seen.size(), base.size() + 1);
+  }
+}
+
+TEST(Checksum64, TopBitFlipsInOneLaneDoNotCancel) {
+  // Words 0 and 4 go to the same lane. Without the rotation in the
+  // absorb step, flipping bit 63 of both would cancel exactly.
+  auto msg = random_bytes(64, 5);
+  const std::uint64_t clean = checksum64(msg.data(), msg.size(), 0);
+  msg[7] ^= 0x80;
+  msg[39] ^= 0x80;
+  EXPECT_NE(checksum64(msg.data(), msg.size(), 0), clean);
+}
+
+TEST(Checksum64, SeedAndAlignmentBehave) {
+  const auto bytes = random_bytes(257, 9);
+  const std::uint64_t at0 = checksum64(bytes.data() + 1, 256, 1);
+  std::vector<unsigned char> copy(bytes.begin() + 1, bytes.end());
+  EXPECT_EQ(checksum64(copy.data(), copy.size(), 1), at0);
+  EXPECT_NE(checksum64(copy.data(), copy.size(), 2), at0);
+  EXPECT_NE(checksum64(nullptr, 0, 1), checksum64(nullptr, 0, 2));
+}
+
+TEST(Checksum64, GoldenValueIsStable) {
+  // The checksum is part of the .bbs v2 on-disk format: a change to this
+  // value breaks every existing snapshot and needs a format version bump.
+  const auto bytes = random_bytes(77, 2014);
+  EXPECT_EQ(checksum64(bytes.data(), bytes.size(), 0xBB5C4EC6), 0x638315D10F0D22A0ULL);
 }
 
 }  // namespace

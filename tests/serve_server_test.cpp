@@ -153,6 +153,28 @@ TEST_F(ServerTest, CorruptSnapshotIsTypedResponse) {
   EXPECT_EQ(client.ping().status, Status::kOk);
 }
 
+TEST_F(ServerTest, OlderFormatVersionIsTypedCorruptSnapshot) {
+  const auto old = dir_ / "v1.bbs";
+  store::write_snapshot_file(old, tiny_dataset(23));
+  {
+    std::fstream f{old, std::ios::in | std::ios::out | std::ios::binary};
+    f.seekp(12);  // header version field, little-endian first byte
+    f.write("\x01", 1);
+  }
+  start_server();
+  Client client{socket()};
+  const auto response =
+      client.call(Request{RequestKind::kFigure, "fig1", old.string()});
+  EXPECT_EQ(response.status, Status::kCorruptSnapshot);
+  EXPECT_NE(response.body.find("snapshot format version 1, this library reads version 2"),
+            std::string::npos)
+      << response.body;
+  // The daemon stays up and keeps serving healthy snapshots.
+  EXPECT_EQ(client.ping().status, Status::kOk);
+  EXPECT_EQ(client.call(Request{RequestKind::kFigure, "fig1", snapshot_.string()}).status,
+            Status::kOk);
+}
+
 TEST_F(ServerTest, DeadlineExceededIsTypedResponseNotDeath) {
   // A deadline this small expires before the first poll point.
   start_server(/*deadline_s=*/1e-9);

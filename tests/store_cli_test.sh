@@ -3,9 +3,10 @@
 #   1. `generate --cache` output is byte-identical to an uncached run, and
 #      runs at 1, 2 and 8 threads all hit the SAME cache entry and produce
 #      byte-identical CSVs (parallelism is excluded from the cache key).
-#   2. pack -> cat round-trips; cat on a corrupted snapshot fails with a
-#      typed error and a non-zero exit, never a crash; cat on a FIFO fails
-#      with an I/O error (not mappable), not a format error.
+#   2. pack -> cat round-trips; cat on a corrupted snapshot, or on one
+#      stamped with an older format version, fails with a typed error and a
+#      non-zero exit, never a crash; cat on a FIFO fails with an I/O error
+#      (not mappable), not a format error.
 #   3. cache ls / rm KEY / rm all manage entries as advertised.
 set -u
 
@@ -41,11 +42,25 @@ entries=$("$BBLAB" cache ls | sed '$d' | wc -l)
 # --- 2. pack / cat / corruption rejection ----------------------------------
 "$BBLAB" pack "$WORK/snap.bbs" $ARGS --cache >/dev/null 2>&1 || fail "pack"
 "$BBLAB" cat "$WORK/snap.bbs" >"$WORK/cat.out" 2>/dev/null || fail "cat"
-grep -q "bbs format v1" "$WORK/cat.out" || fail "cat: missing format banner"
+grep -q "bbs format v2" "$WORK/cat.out" || fail "cat: missing format banner"
 for section in config dasu fcc upgrades markets qc; do
   grep -q "^$section " "$WORK/cat.out" || fail "cat: missing section $section"
 done
 grep -q "records: dasu=" "$WORK/cat.out" || fail "cat: missing record counts"
+
+# A snapshot stamped with an older format version is refused with a typed
+# error naming both versions, and a clean exit status 1.
+python3 - "$WORK/snap.bbs" "$WORK/v1.bbs" <<'EOF'
+import sys
+data = bytearray(open(sys.argv[1], 'rb').read())
+data[12:16] = (1).to_bytes(4, 'little')  # header version field
+open(sys.argv[2], 'wb').write(data)
+EOF
+"$BBLAB" cat "$WORK/v1.bbs" >/dev/null 2>"$WORK/v1.err"
+status=$?
+[ "$status" -eq 1 ] || fail "cat on a v1 snapshot exited $status, want 1"
+grep -q "^error: format-mismatch: snapshot format version 1, this library reads version 2" \
+  "$WORK/v1.err" || fail "cat on a v1 snapshot: no typed version error"
 
 # A FIFO is not a corrupt snapshot: cat must refuse it as unmappable (an
 # I/O error naming the path), not as a format mismatch, and must not hang

@@ -255,6 +255,22 @@ TEST(Snapshot, ErrorsCarryTypedReasons) {
   }
 }
 
+TEST(Snapshot, OlderFormatVersionIsATypedMismatchNamingBothVersions) {
+  std::string v1 = serialized(make_tiny());
+  ASSERT_EQ(kFormatVersion, 2u);
+  v1[12] = 1;  // version field, little-endian first byte
+  try {
+    (void)read_snapshot(v1);
+    FAIL() << "a version-1 header was accepted";
+  } catch (const SnapshotError& e) {
+    EXPECT_EQ(e.reason(), QuarantineReason::kFormatMismatch);
+    EXPECT_NE(std::string{e.what()}.find(
+                  "snapshot format version 1, this library reads version 2"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Snapshot, UnknownCountryIsRejectedAsBadValue) {
   auto ds = make_tiny();
   auto node = ds.markets.extract("US");
