@@ -7,19 +7,17 @@
 //   BBLAB_DAYS=2     observation window days (default 1.5)
 //   BBLAB_THREADS=4  simulation worker threads (default 0 = all cores);
 //                    the dataset is identical for every value
+// Datasets are cached in the artifact cache (see load_or_generate).
 #pragma once
 
-#include <cstdio>
 #include <cstdlib>
-#include <filesystem>
-#include <fstream>
+#include <exception>
 #include <iostream>
-#include <sstream>
-#include <string>
+#include <utility>
 
 #include "core/logging.h"
-#include "dataset/csv.h"
 #include "dataset/generator.h"
+#include "store/cache.h"
 
 namespace bblab::bench {
 
@@ -42,74 +40,30 @@ inline dataset::StudyConfig bench_config() {
   return config;
 }
 
-/// Load a cached dataset if one exists for this configuration; otherwise
-/// generate and cache it. The records and upgrade pairs round-trip through
-/// the CSV layer; market snapshots are rebuilt deterministically from the
-/// seed. Cache location: $BBLAB_CACHE_DIR or /tmp/bblab_bench_cache.
-/// Delete the directory (or set BBLAB_NO_CACHE=1) to force regeneration.
+/// Load the dataset for this configuration from the artifact cache
+/// (store::ArtifactCache::default_root(), the same cache as
+/// `bblab --cache`), keyed by its generation fingerprint; on a miss,
+/// generate and store it. Set BBLAB_NO_CACHE=1 to always regenerate.
 inline dataset::StudyDataset load_or_generate(const dataset::StudyConfig& config) {
-  namespace fs = std::filesystem;
-  const char* no_cache = std::getenv("BBLAB_NO_CACHE");
-  const char* cache_root = std::getenv("BBLAB_CACHE_DIR");
-  char key[128];
-  std::snprintf(key, sizeof key, "s%llu_p%.4f_w%.2f_f%zu_y%d-%d_u%.2f",
-                static_cast<unsigned long long>(config.seed),
-                config.population_scale, config.window_days, config.fcc_users,
-                config.first_year, config.last_year, config.upgrade_follow_share);
-  const fs::path dir =
-      fs::path{cache_root != nullptr ? cache_root : "/tmp/bblab_bench_cache"} / key;
-
-  const auto slurp = [](const fs::path& p) {
-    std::ifstream in{p};
-    return std::string{std::istreambuf_iterator<char>{in},
-                       std::istreambuf_iterator<char>{}};
-  };
-
-  if (no_cache == nullptr && fs::exists(dir / "dasu.csv")) {
-    try {
-      std::cerr << "[bench] loading cached dataset from " << dir << "\n";
-      dataset::StudyDataset ds;
-      ds.config = config;
-      ds.dasu = dataset::read_user_records(slurp(dir / "dasu.csv"));
-      ds.fcc = dataset::read_user_records(slurp(dir / "fcc.csv"));
-      ds.upgrades = dataset::read_upgrades(slurp(dir / "upgrades.csv"));
-      Rng root{config.seed};
-      ds.markets =
-          dataset::StudyGenerator{market::World::builtin(), config}.build_markets(root);
-      return ds;
-    } catch (const std::exception& e) {
-      // Stale schema (the cache predates a format change): regenerate.
-      std::cerr << "[bench] cache unusable (" << e.what() << "), regenerating\n";
+  const market::World& world = market::World::builtin();
+  const bool use_cache = std::getenv("BBLAB_NO_CACHE") == nullptr;
+  const store::ArtifactCache cache{store::ArtifactCache::default_root()};
+  const store::Fingerprint key = store::dataset_fingerprint(config, world);
+  if (use_cache) {
+    if (auto ds = cache.load(key, world)) {
+      std::cerr << "[bench] loaded cached dataset " << cache.entry_path(key) << "\n";
+      return std::move(*ds);
     }
   }
-
   std::cerr << "[bench] generating dataset (scale=" << config.population_scale
             << ", window=" << config.window_days << "d, seed=" << config.seed
             << ")...\n";
-  auto ds = dataset::StudyGenerator{market::World::builtin(), config}.generate();
-  if (no_cache == nullptr) {
-    std::error_code ec;
-    fs::create_directories(dir, ec);
-    if (!ec) {
-      std::ofstream{dir / "dasu.csv.tmp"} << [&] {
-        std::ostringstream os;
-        dataset::write_user_records(os, ds.dasu);
-        return os.str();
-      }();
-      std::ofstream{dir / "fcc.csv.tmp"} << [&] {
-        std::ostringstream os;
-        dataset::write_user_records(os, ds.fcc);
-        return os.str();
-      }();
-      std::ofstream{dir / "upgrades.csv.tmp"} << [&] {
-        std::ostringstream os;
-        dataset::write_upgrades(os, ds.upgrades);
-        return os.str();
-      }();
-      // Publish atomically so concurrent benches never read half a cache.
-      fs::rename(dir / "dasu.csv.tmp", dir / "dasu.csv", ec);
-      fs::rename(dir / "fcc.csv.tmp", dir / "fcc.csv", ec);
-      fs::rename(dir / "upgrades.csv.tmp", dir / "upgrades.csv", ec);
+  auto ds = dataset::StudyGenerator{world, config}.generate();
+  if (use_cache) {
+    try {
+      (void)cache.store(key, ds);
+    } catch (const std::exception& e) {
+      std::cerr << "[bench] cache store failed (" << e.what() << ")\n";
     }
   }
   return ds;

@@ -1,6 +1,7 @@
 // Performance microbenchmarks for the pipeline's hot components:
 // water-filling, the fluid simulator, caliper matching, the exact
-// binomial test, plan-catalog generation, and choice-model calibration.
+// binomial test, plan-catalog generation, choice-model calibration, and
+// the per-country market build.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -10,6 +11,7 @@
 #include "causal/matching.h"
 #include "core/rng.h"
 #include "core/thread_pool.h"
+#include "dataset/generator.h"
 #include "market/catalog.h"
 #include "market/choice.h"
 #include "measurement/pipeline.h"
@@ -258,6 +260,19 @@ void BM_ChoiceCalibration(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(probes.size()));
 }
 BENCHMARK(BM_ChoiceCalibration);
+
+// Every builtin market (catalog, probes, calibration, price fit), one
+// country per task on a pool of `range(0)` workers.
+void BM_BuildMarkets(benchmark::State& state) {
+  const dataset::StudyGenerator generator{market::World::builtin(), dataset::StudyConfig{}};
+  core::ThreadPool pool{static_cast<std::size_t>(state.range(0))};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(generator.build_markets(pool));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(market::World::builtin().size()));
+}
+BENCHMARK(BM_BuildMarkets)->Arg(1)->Arg(4)->UseRealTime();
 
 }  // namespace
 

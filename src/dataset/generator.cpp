@@ -1,12 +1,11 @@
 #include "dataset/generator.h"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
-
-#include <optional>
-
 #include <atomic>
+#include <cmath>
+#include <exception>
+#include <limits>
+#include <optional>
 
 #include "behavior/caps.h"
 #include "core/error.h"
@@ -201,38 +200,63 @@ UserOutcome guarded_user(std::uint64_t user_id, measurement::HouseholdWorkspace&
 
 }  // namespace
 
-std::map<std::string, MarketSnapshot> StudyGenerator::build_markets(Rng& rng) const {
+std::map<std::string, MarketSnapshot> StudyGenerator::build_markets(
+    core::ThreadPool& pool) const {
   OBS_SPAN("build_markets");
-  std::map<std::string, MarketSnapshot> markets;
-  for (const auto& country : world_.countries()) {
-    Rng market_rng = rng.fork(std::hash<std::string>{}(country.code));
-    MarketSnapshot snap;
-    snap.country = &country;
-    snap.catalog = PlanCatalog::generate(country, market_rng);
+  // Countries are independent: each draws only from its own stream,
+  // forked from the root by its code (fork() is const, so no draw of one
+  // country moves another's), and writes only its own world-order slot.
+  // The map is then filled in world order, so the markets are the same
+  // at any thread count.
+  const Rng root{config_.seed};
+  const auto countries = world_.countries();
+  std::vector<MarketSnapshot> built(countries.size());
+  std::vector<std::exception_ptr> errors(countries.size());
+  core::parallel_for(pool, countries.size(), [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      const market::CountryProfile& country = countries[i];
+      try {
+        Rng market_rng = root.fork(std::hash<std::string>{}(country.code));
+        MarketSnapshot& snap = built[i];
+        snap.country = &country;
+        snap.catalog = PlanCatalog::generate(country, market_rng);
 
-    // Probe households for willingness-to-pay calibration.
-    std::vector<Household> probes;
-    probes.reserve(256);
-    for (int i = 0; i < 256; ++i) probes.push_back(sample_household(country, market_rng));
-    {
-      OBS_SPAN("market.calibrate", country.code);
-      snap.choice = market::ChoiceModel::calibrated(country, snap.catalog, probes);
+        // Probe households for willingness-to-pay calibration.
+        std::vector<Household> probes;
+        probes.reserve(256);
+        for (int p = 0; p < 256; ++p) probes.push_back(sample_household(country, market_rng));
+        {
+          OBS_SPAN("market.calibrate", country.code);
+          snap.choice = market::ChoiceModel::calibrated(country, snap.catalog, probes);
+        }
+
+        snap.access_price = snap.catalog.access_price().value_or(country.access_price);
+        const auto fit = snap.catalog.price_capacity_fit();
+        snap.price_capacity_r = fit.r;
+        snap.upgrade_cost_per_mbps = fit.r > 0.4
+                                         ? fit.slope
+                                         : std::numeric_limits<double>::quiet_NaN();
+      } catch (const InvalidArgument& e) {
+        errors[i] = std::make_exception_ptr(
+            InvalidArgument{"market " + country.code + ": " + e.what()});
+      } catch (...) {
+        errors[i] = std::current_exception();
+      }
     }
-
-    snap.access_price = snap.catalog.access_price().value_or(country.access_price);
-    const auto fit = snap.catalog.price_capacity_fit();
-    snap.price_capacity_r = fit.r;
-    snap.upgrade_cost_per_mbps = fit.r > 0.4
-                                     ? fit.slope
-                                     : std::numeric_limits<double>::quiet_NaN();
-    markets.emplace(country.code, std::move(snap));
+  });
+  // The lowest failing world index wins: the error a serial walk would
+  // have stopped at, however the countries were scheduled.
+  std::map<std::string, MarketSnapshot> markets;
+  for (std::size_t i = 0; i < countries.size(); ++i) {
+    if (errors[i]) std::rethrow_exception(errors[i]);
+    markets.emplace(countries[i].code, std::move(built[i]));
   }
   return markets;
 }
 
 std::map<std::string, MarketSnapshot> StudyGenerator::build_markets() const {
-  Rng root{config_.seed};
-  return build_markets(root);
+  core::ThreadPool pool{config_.threads};
+  return build_markets(pool);
 }
 
 std::string ShardSpec::label() const {
@@ -614,12 +638,12 @@ StudyDataset StudyGenerator::generate() const {
   OBS_SPAN("dataset.generate");
   StudyDataset ds;
   ds.config = config_;
-  ds.markets = build_markets();
+  core::ThreadPool pool{config_.threads};
+  ds.markets = build_markets(pool);
 
   if (!config_.faults.empty()) {
     log_info("fault injection active: ", config_.faults.summary());
   }
-  core::ThreadPool pool{config_.threads};
   log_debug("simulating households on ", pool.size(), " threads");
 
   for (const ShardSpec& spec : plan_shards(ds.markets)) {

@@ -160,10 +160,15 @@ class StudyGenerator {
   /// Generate the full dataset. Deterministic in config.seed.
   [[nodiscard]] StudyDataset generate() const;
 
-  /// Build only the market snapshots (fast; used by market-only benches).
-  [[nodiscard]] std::map<std::string, MarketSnapshot> build_markets(Rng& rng) const;
-  /// Same, from a root RNG freshly seeded with config.seed (what
-  /// generate() does internally).
+  /// Build only the market snapshots, one country per pool task. Each
+  /// country forks its own stream from a root seeded with config.seed, so
+  /// the result is bit-identical at any pool size. When countries fail,
+  /// the error of the first in world order is rethrown (an
+  /// InvalidArgument prefixed with "market <code>: "), as a serial walk
+  /// would have raised it.
+  [[nodiscard]] std::map<std::string, MarketSnapshot> build_markets(
+      core::ThreadPool& pool) const;
+  /// Same, on a pool of config.threads workers of its own.
   [[nodiscard]] std::map<std::string, MarketSnapshot> build_markets() const;
 
   /// Deterministically split the run into shards: one per non-empty

@@ -1,7 +1,11 @@
 #include "faults/fs_faults.h"
 
+#include <charconv>
 #include <csignal>
+#include <limits>
 #include <sstream>
+#include <string_view>
+#include <system_error>
 
 #include "core/error.h"
 #include "core/logging.h"
@@ -25,35 +29,40 @@ namespace {
       "' (want kind@index[xTIMES] with kind one of enospc|eio|torn|crash|kill)"};
 }
 
+/// A decimal count written as digits only: no sign, no space, no other
+/// character, and no value above `max`. nullopt otherwise.
+[[nodiscard]] std::optional<std::uint64_t> parse_digits(std::string_view text,
+                                                        std::uint64_t max) {
+  std::uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  // from_chars into an unsigned type takes neither '-' nor '+' nor
+  // leading whitespace, rejects empty input, and reports overflow
+  // instead of wrapping.
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc{} || ptr != end || value > max) return std::nullopt;
+  return value;
+}
+
 [[nodiscard]] FsFault parse_term(const std::string& term) {
   const std::size_t at_pos = term.find('@');
   if (at_pos == std::string::npos || at_pos == 0) bad_spec(term);
   const std::optional<FsFault::Kind> kind = parse_kind(term.substr(0, at_pos));
   if (!kind) bad_spec(term);
 
-  std::string rest = term.substr(at_pos + 1);
-  int times = 1;
+  std::string_view rest = std::string_view{term}.substr(at_pos + 1);
+  std::uint64_t times = 1;
   const std::size_t x_pos = rest.find('x');
-  if (x_pos != std::string::npos) {
-    const std::string times_str = rest.substr(x_pos + 1);
+  if (x_pos != std::string_view::npos) {
+    const std::optional<std::uint64_t> parsed = parse_digits(
+        rest.substr(x_pos + 1), static_cast<std::uint64_t>(std::numeric_limits<int>::max()));
+    if (!parsed || *parsed < 1) bad_spec(term);
+    times = *parsed;
     rest = rest.substr(0, x_pos);
-    try {
-      std::size_t used = 0;
-      times = std::stoi(times_str, &used);
-      if (used != times_str.size() || times < 1) bad_spec(term);
-    } catch (const std::exception&) {
-      bad_spec(term);
-    }
   }
-  std::uint64_t at = 0;
-  try {
-    std::size_t used = 0;
-    at = std::stoull(rest, &used);
-    if (rest.empty() || used != rest.size()) bad_spec(term);
-  } catch (const std::exception&) {
-    bad_spec(term);
-  }
-  return FsFault{*kind, at, times};
+  const std::optional<std::uint64_t> at =
+      parse_digits(rest, std::numeric_limits<std::uint64_t>::max());
+  if (!at) bad_spec(term);
+  return FsFault{*kind, *at, static_cast<int>(times)};
 }
 
 }  // namespace

@@ -68,7 +68,9 @@ struct FsFaultPlan {
 
   /// Parse "kind@index[xTIMES]" terms separated by commas, e.g.
   /// "eio@3x2,enospc@10,torn@4,crash@7,kill@2". Kinds: enospc, eio,
-  /// torn, crash, kill. Throws InvalidArgument on malformed specs.
+  /// torn, crash, kill. INDEX and TIMES are plain decimal digits (no
+  /// sign, no whitespace); INDEX fits in 64 bits and TIMES is 1..INT_MAX.
+  /// Throws InvalidArgument on malformed specs.
   [[nodiscard]] static FsFaultPlan parse(const std::string& spec);
 };
 

@@ -123,20 +123,19 @@ ChoiceBatch::ChoiceBatch(const PlanCatalog& catalog, std::span<const Household> 
 
   need_.reserve(n_households_);
   value_scale_.reserve(n_households_);
+  budget_.reserve(n_households_);
   for (const auto& h : households) {
     need_.push_back(clamped_need(h.need_mbps));
     value_scale_.push_back(h.value_scale);
+    budget_.push_back(h.budget.dollars());
   }
+  perceived_.reserve(n_plans);
   log_capacity_.resize(n_plans * n_households_);
-  perceived_.resize(n_plans * n_households_);
   for (std::size_t p = 0; p < n_plans; ++p) {
     const auto& plan = plans[p];
-    const double perceived = perceived_price(plan, terms_[p]);
+    perceived_.push_back(perceived_price(plan, terms_[p]));
     for (std::size_t h = 0; h < n_households_; ++h) {
       log_capacity_[p * n_households_ + h] = log_capacity(plan.download, need_[h]);
-      // finite - inf == -inf: utility()'s over-budget value, with no branch.
-      perceived_[p * n_households_ + h] =
-          plan.monthly_price > households[h].budget ? kInf : perceived;
     }
   }
   weight_.resize(n_households_);
@@ -158,10 +157,13 @@ std::span<const std::uint32_t> ChoiceBatch::choose(double multiplier) {
   for (std::uint32_t p = 0; p < terms_.size(); ++p) {
     const PlanTerms& t = terms_[p];
     const double price = price_[p];
+    const double perceived = perceived_[p];
     const double* log_cap = &log_capacity_[p * n];
-    const double* perceived = &perceived_[p * n];
     for (std::size_t h = 0; h < n; ++h) {
-      const double u = net_utility(weight_[h], log_cap[h], t, perceived[h]);
+      // utility()'s budget test on the same doubles (MoneyPpp compares
+      // dollars); finite - inf == -inf is its over-budget value.
+      const double cost = price > budget_[h] ? kInf : perceived;
+      const double u = net_utility(weight_[h], log_cap[h], t, cost);
       if (preferred(u, price, best_utility_[h], best_price_[h])) {
         best_utility_[h] = u;
         best_price_[h] = price;

@@ -88,7 +88,9 @@ class ChoiceModel {
 /// term of ChoiceModel::utility() that does not depend on the multiplier
 /// (log-capacity value, penalties, perceived price, budget) is computed
 /// once at construction; each evaluation is then a multiply-subtract
-/// argmax over flat arrays. Picks are those of ChoiceModel{m}.choose().
+/// argmax over flat arrays. Only the log-capacity term is stored per
+/// (plan, household); the budget test runs inside the argmax. Picks are
+/// those of ChoiceModel{m}.choose().
 class ChoiceBatch {
  public:
   /// `catalog` must be non-empty.
@@ -108,12 +110,12 @@ class ChoiceBatch {
   std::vector<double> price_;               // per plan, dollars
   std::vector<double> capacity_;            // per plan, Mbps
   std::vector<std::uint32_t> by_capacity_;  // non-NaN plans, ascending capacity
+  std::vector<double> perceived_;           // per plan, marked-up dollars
   std::vector<double> need_;                // per household, clamped
   std::vector<double> value_scale_;         // per household
-  // Per (plan, household), plan-major: log-capacity value term and the
-  // perceived price (+inf when over budget).
+  std::vector<double> budget_;              // per household, dollars
+  // Per (plan, household), plan-major: the log-capacity value term.
   std::vector<double> log_capacity_;
-  std::vector<double> perceived_;
   // Scratch reused by every evaluation.
   std::vector<double> weight_;
   std::vector<double> best_utility_;

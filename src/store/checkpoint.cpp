@@ -228,9 +228,10 @@ CheckpointedRun run_checkpointed(const market::World& world,
   const std::filesystem::path shards_dir = opts.dir / "shards";
 
   dataset::StudyGenerator gen{world, config};
+  core::ThreadPool pool{config.threads};
   dataset::StudyDataset ds;
   ds.config = config;
-  ds.markets = gen.build_markets();
+  ds.markets = gen.build_markets(pool);
   const std::vector<dataset::ShardSpec> shards = gen.plan_shards(ds.markets);
 
   fs.create_directories(shards_dir);
@@ -264,7 +265,6 @@ CheckpointedRun run_checkpointed(const market::World& world,
   for (const ManifestCommit& c : manifest.commits) committed[c.index] = c.file_hash;
 
   const bool deadline_enabled = opts.shard_deadline_s > 0.0;
-  core::ThreadPool pool{config.threads};
   core::Watchdog watchdog;
   // Deterministic backoff jitter: a distinct fork of the run's own seed,
   // so retry schedules replay exactly under a fixed fault plan.

@@ -56,6 +56,7 @@ check "retries zero"            "$BBLAB" generate --retries 0
 check "fs-faults missing spec"  "$BBLAB" generate --fs-faults
 check "fs-faults bad spec"      "$BBLAB" generate --fs-faults bogus@3
 check "fs-faults bad index"     "$BBLAB" generate --fs-faults eio@x
+check "fs-faults signed index"  "$BBLAB" generate --fs-faults eio@-1
 check "log-level missing value" "$BBLAB" generate --log-level
 check "log-level invalid"       "$BBLAB" generate --log-level verbose
 check "metrics-out no path"     "$BBLAB" generate --metrics-out

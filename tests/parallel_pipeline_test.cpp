@@ -9,11 +9,14 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <map>
 #include <span>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "causal/matching.h"
+#include "core/error.h"
 #include "core/rng.h"
 #include "core/thread_pool.h"
 #include "dataset/csv.h"
@@ -268,6 +271,96 @@ TEST(ParallelPipeline, GeneratorDatasetInvariantUnderThreads) {
   EXPECT_EQ(one, three);
 }
 
+std::uint64_t bits_of(double x) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &x, sizeof bits);
+  return bits;
+}
+
+void expect_same_markets(const std::map<std::string, dataset::MarketSnapshot>& got,
+                         const std::map<std::string, dataset::MarketSnapshot>& expected,
+                         std::size_t threads) {
+  ASSERT_EQ(got.size(), expected.size()) << threads << " threads";
+  for (const auto& [code, want] : expected) {
+    const auto it = got.find(code);
+    ASSERT_NE(it, got.end()) << code;
+    const dataset::MarketSnapshot& have = it->second;
+    const std::string where = code + " at " + std::to_string(threads) + " threads";
+    EXPECT_EQ(have.country, want.country) << where;
+    EXPECT_EQ(bits_of(have.choice.wtp_multiplier()),
+              bits_of(want.choice.wtp_multiplier()))
+        << where;
+    EXPECT_EQ(bits_of(have.access_price.dollars()), bits_of(want.access_price.dollars()))
+        << where;
+    EXPECT_EQ(bits_of(have.price_capacity_r), bits_of(want.price_capacity_r)) << where;
+    // Bit patterns, so a NaN slope (r <= 0.4) must match as the same NaN.
+    EXPECT_EQ(bits_of(have.upgrade_cost_per_mbps), bits_of(want.upgrade_cost_per_mbps))
+        << where;
+    const auto& a = have.catalog.plans();
+    const auto& b = want.catalog.plans();
+    ASSERT_EQ(a.size(), b.size()) << where;
+    for (std::size_t p = 0; p < a.size(); ++p) {
+      EXPECT_EQ(a[p].isp, b[p].isp) << where << " plan " << p;
+      EXPECT_EQ(a[p].country_code, b[p].country_code) << where << " plan " << p;
+      EXPECT_EQ(bits_of(a[p].download.bps()), bits_of(b[p].download.bps()))
+          << where << " plan " << p;
+      EXPECT_EQ(bits_of(a[p].upload.bps()), bits_of(b[p].upload.bps()))
+          << where << " plan " << p;
+      EXPECT_EQ(bits_of(a[p].monthly_price.dollars()),
+                bits_of(b[p].monthly_price.dollars()))
+          << where << " plan " << p;
+      EXPECT_EQ(a[p].monthly_cap, b[p].monthly_cap) << where << " plan " << p;
+      EXPECT_EQ(a[p].tech, b[p].tech) << where << " plan " << p;
+      EXPECT_EQ(a[p].dedicated, b[p].dedicated) << where << " plan " << p;
+    }
+  }
+}
+
+// The markets come out bit for bit the same whether the countries are
+// built on one thread or spread over a pool.
+TEST(ParallelPipeline, MarketsIdenticalAcrossThreadCounts) {
+  dataset::StudyConfig config;
+  config.seed = 5;
+  config.threads = 1;
+  const auto serial = dataset::StudyGenerator{market::World::builtin(), config}.build_markets();
+  ASSERT_EQ(serial.size(), market::World::builtin().size());
+  bool saw_nan_slope = false;
+  for (const auto& [code, snap] : serial) {
+    saw_nan_slope = saw_nan_slope || std::isnan(snap.upgrade_cost_per_mbps);
+  }
+  EXPECT_TRUE(saw_nan_slope) << "no market exercises the NaN slope";
+  for (const std::size_t threads : {2u, 8u}) {
+    core::ThreadPool pool{threads};
+    const auto parallel =
+        dataset::StudyGenerator{market::World::builtin(), config}.build_markets(pool);
+    expect_same_markets(parallel, serial, threads);
+  }
+}
+
+// When several countries fail, the error is the one a serial walk would
+// have raised: the first failing country in world order, at any thread
+// count.
+TEST(ParallelPipeline, FailingCountryErrorIsDeterministic) {
+  std::vector<market::CountryProfile> countries(market::World::builtin().countries().begin(),
+                                                market::World::builtin().countries().end());
+  for (auto& country : countries) {
+    if (country.code == "BR" || country.code == "US") country.max_capacity = Rate{};
+  }
+  const market::World world{countries};
+  dataset::StudyConfig config;
+  config.seed = 5;
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    config.threads = threads;
+    try {
+      (void)dataset::StudyGenerator{world, config}.build_markets();
+      ADD_FAILURE() << "no error at " << threads << " threads";
+    } catch (const InvalidArgument& e) {
+      EXPECT_EQ(std::string{e.what()}.rfind("market BR: ", 0), 0u)
+          << e.what() << " at " << threads << " threads";
+    }
+  }
+}
+
 // --- matcher equivalence ---------------------------------------------------
 
 /// The seed's O(T x C) enumeration, kept as the reference oracle: every
@@ -304,12 +397,6 @@ std::vector<causal::MatchedPair> brute_force_match(const causal::UnitTable& trea
     pairs.push_back(p);
   }
   return pairs;
-}
-
-std::uint64_t bits_of(double x) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &x, sizeof bits);
-  return bits;
 }
 
 void expect_same_pairs(const std::vector<causal::MatchedPair>& got,
