@@ -46,7 +46,7 @@ int main() {
   std::array<char, 200> buf{};
   for (const auto& v : variants) {
     dataset::StudyConfig config = bench::bench_config();
-    config.population_scale = bench::env_or("BBLAB_ABL_SCALE", 0.15);
+    config.population_scale = bench::env_positive("BBLAB_ABL_SCALE", 0.15);
     config.window_days = 1.0;
     config.last_year = 2012;
     config.disable_capacity_effect = v.no_capacity;

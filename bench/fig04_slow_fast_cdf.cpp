@@ -9,7 +9,6 @@
 #include "analysis/figures.h"
 #include "analysis/report.h"
 #include "bench_common.h"
-#include "stats/ranksum.h"
 
 int main() {
   using namespace bblab;
@@ -38,10 +37,5 @@ int main() {
                           analysis::num(peak_slow_med) + " -> " +
                               analysis::num(peak_fast_med) + " kbps (" +
                               analysis::num(peak_fast_med / peak_slow_med) + "x)");
-
-  // Beyond the paper: distribution-level significance of the shift.
-  const auto shift =
-      stats::rank_sum_test(fig.peak_fast.sorted(), fig.peak_slow.sorted());
-  out << "  rank-sum (fast > slow, peak): " << shift.to_string() << "\n";
   return 0;
 }

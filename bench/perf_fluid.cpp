@@ -1,10 +1,9 @@
 // Microbenchmarks for the fluid link engine, pitting the zero-allocation
 // incremental path against the recompute-everything reference engine
-// (FluidOptions::reference_engine) in the same binary, so speedups are
+// (FluidLinkSimulator::run_reference) in the same binary, so speedups are
 // measured apples-to-apples within one build. Workloads cover the shapes
 // that dominate pipeline time: a lone flow, a small saturated mix, a
-// BitTorrent-heavy 64-flow swarm, and a saturated link with bufferbloat
-// (whose cap refreshes are the incremental engine's worst case).
+// BitTorrent-heavy 64-flow swarm, and a generated user-day.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -77,17 +76,18 @@ std::vector<netsim::Flow> flow_soup(std::size_t n, double bt_share,
 /// range(0) selects the engine: 0 = incremental (workspace reused across
 /// iterations, the steady-state pipeline configuration), 1 = reference.
 void run_engine_bench(benchmark::State& state,
-                      const std::vector<netsim::Flow>& flows,
-                      netsim::FluidOptions options) {
-  options.reference_engine = state.range(0) == 1;
-  const netsim::FluidLinkSimulator sim{cable_link(), netsim::TcpModel{}, options};
+                      const std::vector<netsim::Flow>& flows) {
+  const bool reference = state.range(0) == 1;
+  const netsim::FluidLinkSimulator sim{cable_link()};
   netsim::FluidWorkspace workspace;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(sim.run(flows, 0.0, kBins, kBinWidth, workspace));
+    benchmark::DoNotOptimize(
+        reference ? sim.run_reference(flows, 0.0, kBins, kBinWidth)
+                  : sim.run(flows, 0.0, kBins, kBinWidth, workspace));
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(flows.size()));
-  state.SetLabel(state.range(0) == 1 ? "reference" : "incremental");
+  state.SetLabel(reference ? "reference" : "incremental");
 }
 
 void BM_FluidSingleFlow(benchmark::State& state) {
@@ -98,14 +98,14 @@ void BM_FluidSingleFlow(benchmark::State& state) {
   f.start = 0.0;
   f.duration_s = kBins * kBinWidth;
   f.rate_cap = Rate::from_kbps(4000.0);
-  run_engine_bench(state, {f}, {});
+  run_engine_bench(state, {f});
 }
 BENCHMARK(BM_FluidSingleFlow)->Arg(0)->Arg(1);
 
 void BM_FluidSaturated8(benchmark::State& state) {
   // Eight bulk-heavy flows: enough contention that every completion
   // reshuffles the water-fill.
-  run_engine_bench(state, flow_soup(8, 0.25, 21), {});
+  run_engine_bench(state, flow_soup(8, 0.25, 21));
 }
 BENCHMARK(BM_FluidSaturated8)->Arg(0)->Arg(1);
 
@@ -113,18 +113,9 @@ void BM_FluidBitTorrent64(benchmark::State& state) {
   // The acceptance workload: 64 flows, half of them BitTorrent swarms
   // keeping the link saturated all day. The reference engine pays a sort
   // plus three allocations plus a Mathis-model evaluation per flow-step.
-  run_engine_bench(state, flow_soup(64, 0.5, 42), {});
+  run_engine_bench(state, flow_soup(64, 0.5, 42));
 }
 BENCHMARK(BM_FluidBitTorrent64)->Arg(0)->Arg(1);
-
-void BM_FluidBufferbloat64(benchmark::State& state) {
-  // Same swarm with bufferbloat on: saturation flips RTT inflation on and
-  // off, forcing cap refreshes — the incremental engine's worst case.
-  netsim::FluidOptions options;
-  options.bufferbloat = true;
-  run_engine_bench(state, flow_soup(64, 0.5, 42), options);
-}
-BENCHMARK(BM_FluidBufferbloat64)->Arg(0)->Arg(1);
 
 void BM_FluidGeneratedUserDay(benchmark::State& state) {
   // Realistic diurnal user-day from the workload generator, the shape
@@ -137,7 +128,7 @@ void BM_FluidGeneratedUserDay(benchmark::State& state) {
   params.bt_sessions_per_day = 1.0;
   Rng rng{7};
   const auto flows = gen.generate(params, cable_link(), 0.0, kDay, rng);
-  run_engine_bench(state, flows, {});
+  run_engine_bench(state, flows);
 }
 BENCHMARK(BM_FluidGeneratedUserDay)->Arg(0)->Arg(1);
 

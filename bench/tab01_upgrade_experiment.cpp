@@ -9,7 +9,6 @@
 #include "analysis/report.h"
 #include "analysis/tables.h"
 #include "bench_common.h"
-#include "causal/sensitivity.h"
 
 int main() {
   using namespace bblab;
@@ -32,11 +31,5 @@ int main() {
       out, "verdict", "reject H0 for both metrics",
       std::string{tab.average.test.conclusive() ? "reject (avg)" : "CANNOT reject (avg)"} +
           ", " + (tab.peak.test.conclusive() ? "reject (peak)" : "CANNOT reject (peak)"));
-
-  // Beyond the paper: Rosenbaum sensitivity — how much hidden bias would
-  // it take to explain the peak-usage result away?
-  const auto sensitivity = causal::sensitivity_analysis(tab.peak.test.successes,
-                                                        tab.peak.test.trials);
-  out << "  sensitivity (peak): " << sensitivity.to_string() << "\n";
   return 0;
 }

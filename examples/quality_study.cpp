@@ -14,7 +14,6 @@
 #include "analysis/figures.h"
 #include "analysis/report.h"
 #include "analysis/tables.h"
-#include "causal/sensitivity.h"
 #include "dataset/generator.h"
 
 int main() {
@@ -60,14 +59,6 @@ int main() {
     analysis::print_experiment(out, row.result);
   }
 
-  // How robust is the headline quality finding to hidden bias?
-  if (!tab7.rows.empty() && tab7.rows.front().result.test.trials > 0) {
-    const auto& headline = tab7.rows.front().result.test;
-    const auto sensitivity =
-        causal::sensitivity_analysis(headline.successes, headline.trials);
-    out << "\n  sensitivity of the latency finding: " << sensitivity.to_string()
-        << "\n";
-  }
   out << "\nconclusion: quality suppression overrides the price effect for\n"
          "India — the paper's Section 7 story, recovered from synthetic data.\n";
   return 0;

@@ -5,8 +5,8 @@
 // price-capacity relationship. This module models the behavioral side: a
 // household on a capped plan estimates its monthly appetite and throttles
 // its deliberate (heavy) consumption as the estimate approaches the cap.
-// bench/ext_caps runs the corresponding natural experiment — capped vs
-// uncapped users of otherwise similar service.
+// The study generator applies it (apply_cap) to every household on a
+// capped plan.
 #pragma once
 
 #include "core/units.h"

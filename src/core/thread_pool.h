@@ -28,6 +28,12 @@
 
 namespace bblab::core {
 
+/// Most worker threads a command-line or environment override may ask
+/// for (`--threads`, `BBLAB_THREADS`): far above any core count the
+/// pipeline runs on, and low enough that a typo cannot make a pool spawn
+/// thousands of OS threads.
+inline constexpr std::size_t kMaxThreads = 256;
+
 class ThreadPool {
  public:
   /// Spawn `threads` workers; 0 means one per hardware thread.

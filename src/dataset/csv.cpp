@@ -2,14 +2,15 @@
 
 #include <array>
 #include <cmath>
-#include <charconv>
 #include <cstdint>
+#include <optional>
 #include <ostream>
 #include <set>
 #include <sstream>
 #include <utility>
 
 #include "core/error.h"
+#include "core/parse.h"
 
 namespace bblab::dataset {
 
@@ -54,12 +55,9 @@ double to_double(const std::string& s) {
 }
 
 std::uint64_t to_u64(const std::string& s) {
-  std::uint64_t v = 0;
-  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
-  if (ec != std::errc{} || ptr != s.data() + s.size()) {
-    throw IoError{"csv: not an integer: " + s};
-  }
-  return v;
+  const std::optional<std::uint64_t> v = parse_number<std::uint64_t>(s);
+  if (!v) throw IoError{"csv: not an integer: " + s};
+  return *v;
 }
 
 }  // namespace

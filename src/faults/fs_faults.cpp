@@ -1,14 +1,13 @@
 #include "faults/fs_faults.h"
 
-#include <charconv>
 #include <csignal>
 #include <limits>
 #include <sstream>
 #include <string_view>
-#include <system_error>
 
 #include "core/error.h"
 #include "core/logging.h"
+#include "core/parse.h"
 
 namespace bblab::faults {
 
@@ -33,13 +32,8 @@ namespace {
 /// character, and no value above `max`. nullopt otherwise.
 [[nodiscard]] std::optional<std::uint64_t> parse_digits(std::string_view text,
                                                         std::uint64_t max) {
-  std::uint64_t value = 0;
-  const char* end = text.data() + text.size();
-  // from_chars into an unsigned type takes neither '-' nor '+' nor
-  // leading whitespace, rejects empty input, and reports overflow
-  // instead of wrapping.
-  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-  if (ec != std::errc{} || ptr != end || value > max) return std::nullopt;
+  const std::optional<std::uint64_t> value = parse_number<std::uint64_t>(text);
+  if (!value || *value > max) return std::nullopt;
   return value;
 }
 

@@ -52,9 +52,8 @@ std::vector<double> water_fill(double capacity_bps, std::span<const double> caps
   return rates;
 }
 
-FluidLinkSimulator::FluidLinkSimulator(AccessLink link, TcpModel tcp,
-                                       FluidOptions options)
-    : link_{link}, tcp_{tcp}, options_{options} {
+FluidLinkSimulator::FluidLinkSimulator(AccessLink link, TcpModel tcp)
+    : link_{link}, tcp_{tcp} {
   require(link_.valid(), "FluidLinkSimulator: invalid link");
 }
 
@@ -77,18 +76,15 @@ int connections_for(AppKind app) {
 
 }  // namespace
 
-double FluidLinkSimulator::path_cap_bps(AppKind app, Direction direction,
-                                        double extra_rtt_ms) const {
+double FluidLinkSimulator::path_cap_bps(AppKind app, Direction direction) const {
   const double capacity =
       direction == Direction::kDown ? link_.down.bps() : link_.up.bps();
-  AccessLink path = link_;
-  path.rtt_ms += extra_rtt_ms;  // queueing delay under bufferbloat
-  const int connections = connections_for(app);
-  return std::min(capacity, tcp_.parallel_throughput(path, connections).bps());
+  return std::min(capacity,
+                  tcp_.parallel_throughput(link_, connections_for(app)).bps());
 }
 
-double FluidLinkSimulator::flow_cap_bps(const Flow& flow, double extra_rtt_ms) const {
-  double cap = path_cap_bps(flow.app, flow.direction, extra_rtt_ms);
+double FluidLinkSimulator::flow_cap_bps(const Flow& flow) const {
+  double cap = path_cap_bps(flow.app, flow.direction);
   if (flow.rate_cap.bps() > 0.0) cap = std::min(cap, flow.rate_cap.bps());
   return std::max(cap, 1.0);  // keep strictly positive so flows always drain
 }
@@ -121,8 +117,8 @@ void accumulate(std::vector<double>& bins, SimTime window_start, double bin_widt
 }
 
 /// The original per-segment floor/division form, kept as the oracle for
-/// the integer-cursor rewrite above (exercised through
-/// FluidOptions::reference_engine by the differential property test).
+/// the integer-cursor rewrite above (exercised through run_reference by
+/// the differential property test).
 /// One amendment over the historical code: when the bin width is not
 /// exactly representable, floor((t - start) / width) at a point sitting
 /// exactly on a computed boundary can round back to the bin just crossed,
@@ -170,6 +166,22 @@ bool flow_finished(const F& f, SimTime step_end) {
   return drained || f.end_time <= step_end + 1e-12;
 }
 
+void require_window(std::size_t bins, double bin_width_s) {
+  require(bins > 0, "FluidLinkSimulator::run: need at least one bin");
+  require(bin_width_s > 0.0, "FluidLinkSimulator::run: bin width must be positive");
+}
+
+/// Zeroed bins over [window_start, window_start + bins * bin_width_s).
+BinnedUsage empty_usage(SimTime window_start, std::size_t bins, double bin_width_s) {
+  BinnedUsage usage;
+  usage.start = window_start;
+  usage.bin_width_s = bin_width_s;
+  usage.down_bytes.assign(bins, 0.0);
+  usage.up_bytes.assign(bins, 0.0);
+  usage.bt_active_s.assign(bins, 0.0);
+  return usage;
+}
+
 }  // namespace
 
 BinnedUsage FluidLinkSimulator::run(std::span<const Flow> flows, SimTime window_start,
@@ -180,9 +192,8 @@ BinnedUsage FluidLinkSimulator::run(std::span<const Flow> flows, SimTime window_
 
 BinnedUsage FluidLinkSimulator::run(std::span<const Flow> flows, SimTime window_start,
                                     std::size_t bins, double bin_width_s,
-                                    FluidWorkspace& workspace) const {
-  require(bins > 0, "FluidLinkSimulator::run: need at least one bin");
-  require(bin_width_s > 0.0, "FluidLinkSimulator::run: bin width must be positive");
+                                    FluidWorkspace& ws) const {
+  require_window(bins, bin_width_s);
 #ifndef NDEBUG
   // O(n) precondition scan, debug builds only: the workload generator
   // already emits sorted flows, so release builds skip the pass.
@@ -198,22 +209,8 @@ BinnedUsage FluidLinkSimulator::run(std::span<const Flow> flows, SimTime window_
   runs.add();
   flow_count.add(flows.size());
   bin_count.add(bins);
-  if (options_.reference_engine) {
-    return run_reference(flows, window_start, bins, bin_width_s);
-  }
-  return run_incremental(flows, window_start, bins, bin_width_s, workspace);
-}
 
-BinnedUsage FluidLinkSimulator::run_incremental(std::span<const Flow> flows,
-                                                SimTime window_start,
-                                                std::size_t bins, double bin_width_s,
-                                                FluidWorkspace& ws) const {
-  BinnedUsage usage;
-  usage.start = window_start;
-  usage.bin_width_s = bin_width_s;
-  usage.down_bytes.assign(bins, 0.0);
-  usage.up_bytes.assign(bins, 0.0);
-  usage.bt_active_s.assign(bins, 0.0);
+  BinnedUsage usage = empty_usage(window_start, bins, bin_width_s);
   const SimTime window_end = window_start + static_cast<double>(bins) * bin_width_s;
 
   ws.reset();
@@ -225,21 +222,20 @@ BinnedUsage FluidLinkSimulator::run_incremental(std::span<const Flow> flows,
   std::size_t bt_active = 0;
 
   // Memoized min(capacity, TCP parallel throughput): the key space per
-  // link is tiny (app x direction x bloated-or-not), so the Mathis-model
-  // evaluation runs once per distinct key instead of once per flow-step.
-  const auto memo_cap = [&](AppKind app, Direction dir, bool bloated) {
-    const std::size_t key = static_cast<std::size_t>(app) * 4 +
-                            (dir == Direction::kUp ? 2 : 0) + (bloated ? 1 : 0);
+  // link is tiny (app x direction), so the Mathis-model evaluation runs
+  // once per distinct key instead of once per flow.
+  const auto memo_cap = [&](AppKind app, Direction dir) {
+    const std::size_t key =
+        static_cast<std::size_t>(app) * 2 + (dir == Direction::kUp ? 1 : 0);
     if (ws.cap_memo_valid_[key] == 0) {
-      ws.cap_memo_[key] =
-          path_cap_bps(app, dir, bloated ? options_.buffer_ms : 0.0);
+      ws.cap_memo_[key] = path_cap_bps(app, dir);
       ws.cap_memo_valid_[key] = 1;
     }
     return ws.cap_memo_[key];
   };
-  // Bit-identical to flow_cap_bps(flow, bloated ? buffer_ms : 0).
-  const auto slot_cap = [&](const Flow& flow, bool bloated) {
-    double cap = memo_cap(flow.app, flow.direction, bloated);
+  // Bit-identical to flow_cap_bps(flow).
+  const auto slot_cap = [&](const Flow& flow) {
+    double cap = memo_cap(flow.app, flow.direction);
     if (flow.rate_cap.bps() > 0.0) cap = std::min(cap, flow.rate_cap.bps());
     return std::max(cap, 1.0);
   };
@@ -249,24 +245,6 @@ BinnedUsage FluidLinkSimulator::run_incremental(std::span<const Flow> flows,
     const auto& sb = slots[b];
     if (sa.cap_bps != sb.cap_bps) return sa.cap_bps < sb.cap_bps;
     return sa.seq < sb.seq;
-  };
-
-  // Refresh every cap in one direction for the given bloat state; returns
-  // the direction to a consistent sorted order if any cap moved.
-  const auto refresh_caps = [&](FluidWorkspace::DirState& d, bool bloated) {
-    bool changed = false;
-    for (const std::uint32_t id : d.admit_order) {
-      auto& s = slots[id];
-      const double cap = slot_cap(*s.flow, bloated);
-      if (cap != s.cap_bps) {
-        s.cap_bps = cap;
-        changed = true;
-      }
-    }
-    if (changed) {
-      std::sort(d.cap_order.begin(), d.cap_order.end(), cap_before);
-      d.dirty = true;
-    }
   };
 
   // Max-min water-fill over the incrementally maintained cap order —
@@ -335,9 +313,7 @@ BinnedUsage FluidLinkSimulator::run_incremental(std::span<const Flow> flows,
       s.flow = &f;
       s.remaining_bytes = remaining_bytes;
       s.end_time = end_time;
-      // Admission uses the unbloated cap (matching the reference engine);
-      // the bufferbloat refresh below corrects it within the same step.
-      s.cap_bps = slot_cap(f, false);
+      s.cap_bps = slot_cap(f);
       s.rate_bps = 0.0;
       s.seq = next_seq++;
       s.finished = false;
@@ -350,23 +326,8 @@ BinnedUsage FluidLinkSimulator::run_incremental(std::span<const Flow> flows,
       if (f.app == AppKind::kBitTorrent) ++bt_active;
     }
 
-    if (options_.bufferbloat) {
-      // Offered load per direction, summed in admission order from the
-      // caps as of the previous step (the reference engine's arithmetic).
-      double offered_down = 0.0;
-      for (const std::uint32_t id : down.admit_order) {
-        offered_down += slots[id].cap_bps;
-      }
-      double offered_up = 0.0;
-      for (const std::uint32_t id : up.admit_order) {
-        offered_up += slots[id].cap_bps;
-      }
-      refresh_caps(down, offered_down > link_.down.bps() * 1.001);
-      refresh_caps(up, offered_up > link_.up.bps() * 1.001);
-    }
-
-    // Rates change only when the active set or a cap does; between such
-    // events the water-fill would recompute identical values, so the
+    // Rates change only when the active set does (a flow's cap is fixed at
+    // admission); between such events the water-fill would recompute identical values, so the
     // dirty flag skips it without affecting output.
     if (down.dirty) reassign(down, link_.down.bps());
     if (up.dirty) reassign(up, link_.up.bps());
@@ -426,18 +387,13 @@ BinnedUsage FluidLinkSimulator::run_incremental(std::span<const Flow> flows,
   return usage;
 }
 
-// The pre-optimization engine, preserved as the differential-test oracle:
-// per-step heap-allocated water-fill with a full sort, caps recomputed
-// through the TCP model from scratch. Slow, simple, obviously correct.
+// Slow, simple, obviously correct: the oracle the engine above is
+// differentially tested against.
 BinnedUsage FluidLinkSimulator::run_reference(std::span<const Flow> flows,
                                               SimTime window_start, std::size_t bins,
                                               double bin_width_s) const {
-  BinnedUsage usage;
-  usage.start = window_start;
-  usage.bin_width_s = bin_width_s;
-  usage.down_bytes.assign(bins, 0.0);
-  usage.up_bytes.assign(bins, 0.0);
-  usage.bt_active_s.assign(bins, 0.0);
+  require_window(bins, bin_width_s);
+  BinnedUsage usage = empty_usage(window_start, bins, bin_width_s);
   const SimTime window_end = window_start + static_cast<double>(bins) * bin_width_s;
 
   std::vector<ActiveFlow> down_active;
@@ -474,18 +430,6 @@ BinnedUsage FluidLinkSimulator::run_reference(std::span<const Flow> flows,
     }
     // Rates change whenever the active set does; recomputing every step is
     // what the incremental engine's dirty flag avoids.
-    if (options_.bufferbloat) {
-      double offered_down = 0.0;
-      for (const auto& f : down_active) offered_down += f.cap_bps;
-      double offered_up = 0.0;
-      for (const auto& f : up_active) offered_up += f.cap_bps;
-      const bool down_sat = offered_down > link_.down.bps() * 1.001;
-      const bool up_sat = offered_up > link_.up.bps() * 1.001;
-      const double extra_down = down_sat ? options_.buffer_ms : 0.0;
-      const double extra_up = up_sat ? options_.buffer_ms : 0.0;
-      for (auto& f : down_active) f.cap_bps = flow_cap_bps(*f.flow, extra_down);
-      for (auto& f : up_active) f.cap_bps = flow_cap_bps(*f.flow, extra_up);
-    }
     reassign(down_active, link_.down.bps());
     reassign(up_active, link_.up.bps());
 

@@ -14,13 +14,13 @@
 // engineered to be allocation-free in steady state: all scratch lives in
 // a caller-owned FluidWorkspace, the cap-sorted water-fill order is
 // maintained incrementally across events instead of re-sorted per step,
-// rates are recomputed only when the active set or a cap actually
-// changes, and TCP-achievable caps are memoized per (app, direction,
-// bloat) key. The output contract is byte-exact equality with the
-// straightforward recompute-everything engine (FluidOptions::
-// reference_engine), which tests/fluid_differential_test.cpp enforces on
-// randomized workloads — this is what keeps bbstore cache fingerprints
-// and thread-count determinism valid across the optimization.
+// rates are recomputed only when the active set changes, and
+// TCP-achievable caps are memoized per (app, direction) key. The output
+// contract is byte-exact equality with the straightforward
+// recompute-everything engine (run_reference), which
+// tests/fluid_differential_test.cpp enforces on randomized workloads —
+// this is what keeps bbstore cache fingerprints and thread-count
+// determinism valid across the optimization.
 #pragma once
 
 #include <array>
@@ -68,25 +68,6 @@ struct BinnedUsage {
 [[nodiscard]] std::vector<double> water_fill(double capacity_bps,
                                              std::span<const double> caps_bps);
 
-/// Optional realism extensions.
-struct FluidOptions {
-  /// Bufferbloat: when a direction of the access link is saturated, its
-  /// queue fills and that direction's flow RTTs inflate by ~buffer_ms,
-  /// re-throttling TCP-bound flows. Each direction is gated on its own
-  /// offered load (upstream bufferbloat is the common DSL/cable case: a
-  /// saturated uplink bloats uploads even when the downlink idles). Off
-  /// by default (the paper-period analysis does not need it);
-  /// bench/ext_bufferbloat quantifies its effect.
-  bool bufferbloat{false};
-  double buffer_ms{150.0};
-  /// Run the straightforward recompute-everything engine instead of the
-  /// incremental zero-allocation one. The two are byte-identical (the
-  /// differential property test enforces it); this flag exists so the
-  /// simple implementation stays alive as the test oracle and as a
-  /// bisection aid.
-  bool reference_engine{false};
-};
-
 /// Caller-owned scratch state for FluidLinkSimulator::run. One workspace
 /// serves any number of sequential run() calls (different flow sets,
 /// windows, even different simulators): every internal buffer is cleared
@@ -115,7 +96,7 @@ class FluidWorkspace {
   struct DirState {
     std::vector<std::uint32_t> admit_order;  ///< slot ids, admission order
     std::vector<std::uint32_t> cap_order;    ///< slot ids, ascending (cap, seq)
-    /// Set on admit / retire / cap change; water-fill rates are recomputed
+    /// Set on admit / retire; water-fill rates are recomputed
     /// only when this is set (identical values would be recomputed
     /// otherwise, so skipping preserves byte-exact output).
     bool dirty{false};
@@ -140,15 +121,14 @@ class FluidWorkspace {
   DirState down_;
   DirState up_;
   /// Memoized min(link capacity, TCP parallel throughput) keyed by
-  /// (app, direction, bloated): 6 x 2 x 2 entries, reset per run.
-  std::array<double, 24> cap_memo_{};
-  std::array<std::uint8_t, 24> cap_memo_valid_{};
+  /// (app, direction): 6 x 2 entries, reset per run.
+  std::array<double, 12> cap_memo_{};
+  std::array<std::uint8_t, 12> cap_memo_valid_{};
 };
 
 class FluidLinkSimulator {
  public:
-  explicit FluidLinkSimulator(AccessLink link, TcpModel tcp = TcpModel{},
-                              FluidOptions options = {});
+  explicit FluidLinkSimulator(AccessLink link, TcpModel tcp = TcpModel{});
 
   /// Simulate `flows` (must be sorted by start time; checked in debug
   /// builds only — the workload generator emits sorted flows) over the
@@ -165,31 +145,27 @@ class FluidLinkSimulator {
                                 std::size_t bins, double bin_width_s,
                                 FluidWorkspace& workspace) const;
 
+  /// The pre-optimization engine: per-step heap-allocated water-fill with
+  /// a full sort, caps recomputed through the TCP model from scratch.
+  /// Byte-identical to run(); kept as the differential-test oracle and as
+  /// the baseline perf_fluid times the incremental engine against.
+  [[nodiscard]] BinnedUsage run_reference(std::span<const Flow> flows,
+                                          SimTime window_start, std::size_t bins,
+                                          double bin_width_s = 30.0) const;
+
   [[nodiscard]] const AccessLink& link() const { return link_; }
 
   /// Per-flow ceiling: min(app cap, TCP-achievable rate for this app's
-  /// connection behavior, link capacity). `extra_rtt_ms` models queueing
-  /// delay under bufferbloat.
-  [[nodiscard]] double flow_cap_bps(const Flow& flow, double extra_rtt_ms = 0.0) const;
-
-  [[nodiscard]] const FluidOptions& options() const { return options_; }
+  /// connection behavior, link capacity).
+  [[nodiscard]] double flow_cap_bps(const Flow& flow) const;
 
  private:
-  [[nodiscard]] BinnedUsage run_incremental(std::span<const Flow> flows,
-                                            SimTime window_start, std::size_t bins,
-                                            double bin_width_s,
-                                            FluidWorkspace& ws) const;
-  [[nodiscard]] BinnedUsage run_reference(std::span<const Flow> flows,
-                                          SimTime window_start, std::size_t bins,
-                                          double bin_width_s) const;
-  /// min(link capacity, TCP parallel throughput) for an app/direction at
-  /// the given queueing delay — the memoizable part of flow_cap_bps.
-  [[nodiscard]] double path_cap_bps(AppKind app, Direction direction,
-                                    double extra_rtt_ms) const;
+  /// min(link capacity, TCP parallel throughput) for an app/direction —
+  /// the memoizable part of flow_cap_bps.
+  [[nodiscard]] double path_cap_bps(AppKind app, Direction direction) const;
 
   AccessLink link_;
   TcpModel tcp_;
-  FluidOptions options_;
 };
 
 }  // namespace bblab::netsim

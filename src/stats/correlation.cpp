@@ -1,9 +1,6 @@
 #include "stats/correlation.h"
 
-#include <algorithm>
 #include <cmath>
-#include <numeric>
-#include <vector>
 
 #include "core/error.h"
 
@@ -33,32 +30,6 @@ double pearson(std::span<const double> xs, std::span<const double> ys) {
   }
   if (sxx <= 0.0 || syy <= 0.0) return 0.0;
   return sxy / std::sqrt(sxx * syy);
-}
-
-std::vector<double> ranks(std::span<const double> xs) {
-  const std::size_t n = xs.size();
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::sort(order.begin(), order.end(),
-            [&](std::size_t a, std::size_t b) { return xs[a] < xs[b]; });
-  std::vector<double> r(n, 0.0);
-  std::size_t i = 0;
-  while (i < n) {
-    std::size_t j = i;
-    while (j + 1 < n && xs[order[j + 1]] == xs[order[i]]) ++j;
-    // Average rank for the tie group [i, j] (1-based ranks).
-    const double avg = (static_cast<double>(i) + static_cast<double>(j)) / 2.0 + 1.0;
-    for (std::size_t k = i; k <= j; ++k) r[order[k]] = avg;
-    i = j + 1;
-  }
-  return r;
-}
-
-double spearman(std::span<const double> xs, std::span<const double> ys) {
-  require(xs.size() == ys.size(), "spearman: samples must have equal length");
-  const std::vector<double> rx = ranks(xs);
-  const std::vector<double> ry = ranks(ys);
-  return pearson(rx, ry);
 }
 
 }  // namespace bblab::stats

@@ -2,24 +2,14 @@
 //
 // The paper quotes Pearson r for usage-vs-capacity (r >= 0.87, Fig. 2/3)
 // and for price-vs-capacity regressions per market (66% of markets > 0.8).
-// Spearman rank correlation is provided for robustness checks on the same
-// relationships.
 #pragma once
 
 #include <span>
-#include <vector>
 
 namespace bblab::stats {
 
 /// Pearson product-moment correlation of two equal-length samples.
 /// Degenerate input (length < 2, or zero variance on either side) -> 0.
 [[nodiscard]] double pearson(std::span<const double> xs, std::span<const double> ys);
-
-/// Spearman rank correlation (Pearson over average-tie ranks).
-[[nodiscard]] double spearman(std::span<const double> xs, std::span<const double> ys);
-
-/// Midranks (1-based, ties averaged) of a sample — building block for
-/// Spearman and rank-based matching diagnostics.
-[[nodiscard]] std::vector<double> ranks(std::span<const double> xs);
 
 }  // namespace bblab::stats

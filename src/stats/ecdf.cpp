@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cmath>
 #include <cstdio>
 
 #include "core/error.h"
@@ -80,30 +79,6 @@ std::string Ecdf::summary() const {
   }
   if (!s.empty()) s.pop_back();
   return s;
-}
-
-double ks_statistic(const Ecdf& a, const Ecdf& b) {
-  require(!a.empty() && !b.empty(), "ks_statistic: both ECDFs must be non-empty");
-  // One merge over both sorted samples: at every distinct sample value x
-  // (in ascending order), advance each cursor past the elements <= x;
-  // the cursors then ARE n*F1(x) and m*F2(x). Once one sample is
-  // exhausted its CDF is pinned at 1 and the gap only shrinks, so the
-  // loop can stop — the supremum was already seen.
-  const auto& xs = a.sorted();
-  const auto& ys = b.sorted();
-  const auto na = static_cast<double>(xs.size());
-  const auto nb = static_cast<double>(ys.size());
-  double d = 0.0;
-  std::size_t i = 0;
-  std::size_t j = 0;
-  while (i < xs.size() && j < ys.size()) {
-    const double x = std::min(xs[i], ys[j]);
-    while (i < xs.size() && xs[i] <= x) ++i;
-    while (j < ys.size() && ys[j] <= x) ++j;
-    d = std::max(d, std::abs(static_cast<double>(i) / na -
-                             static_cast<double>(j) / nb));
-  }
-  return d;
 }
 
 }  // namespace bblab::stats

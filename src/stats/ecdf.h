@@ -70,9 +70,4 @@ class Ecdf {
   std::size_t dropped_{0};
 };
 
-/// Two-sample Kolmogorov–Smirnov statistic: sup_x |F1(x) - F2(x)|.
-/// One merge over both sorted samples — O(n + m), not O((n+m) log(n+m)).
-/// Used by tests to compare generated distributions against targets.
-[[nodiscard]] double ks_statistic(const Ecdf& a, const Ecdf& b);
-
 }  // namespace bblab::stats

@@ -67,12 +67,6 @@ double quantile_select(std::span<double> xs, double q) {
   });
 }
 
-double iqr(std::span<const double> xs) {
-  const auto copy = sorted_finite(xs);
-  if (copy.empty()) return 0.0;
-  return quantile_sorted(copy, 0.75) - quantile_sorted(copy, 0.25);
-}
-
 std::vector<double> quantiles(std::span<const double> xs, std::span<const double> qs) {
   const auto copy = sorted_finite(xs);
   if (copy.empty()) return std::vector<double>(qs.size(), 0.0);

@@ -42,9 +42,6 @@ namespace bblab::stats {
 [[nodiscard]] inline double median(std::span<const double> xs) { return quantile(xs, 0.5); }
 [[nodiscard]] inline double p95(std::span<const double> xs) { return quantile(xs, 0.95); }
 
-/// Interquartile range (Q3 - Q1). NaNs dropped as in quantile().
-[[nodiscard]] double iqr(std::span<const double> xs);
-
 /// Several quantiles in one sort. NaNs dropped as in quantile().
 [[nodiscard]] std::vector<double> quantiles(std::span<const double> xs,
                                             std::span<const double> qs);

@@ -48,53 +48,4 @@ LinearFit linear_fit(std::span<const double> xs, std::span<const double> ys) {
   return fit;
 }
 
-std::vector<double> ols(const std::vector<std::vector<double>>& rows,
-                        std::span<const double> ys) {
-  require(rows.size() == ys.size(), "ols: rows and ys must have equal length");
-  require(!rows.empty(), "ols: need at least one observation");
-  const std::size_t k = rows.front().size() + 1;  // + intercept
-  for (const auto& r : rows) {
-    require(r.size() + 1 == k, "ols: ragged design matrix");
-  }
-
-  // Build normal equations A = X'X (k x k), b = X'y.
-  std::vector<double> a(k * k, 0.0);
-  std::vector<double> b(k, 0.0);
-  std::vector<double> xi(k, 1.0);
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    for (std::size_t j = 1; j < k; ++j) xi[j] = rows[i][j - 1];
-    for (std::size_t p = 0; p < k; ++p) {
-      b[p] += xi[p] * ys[i];
-      for (std::size_t q = 0; q < k; ++q) a[p * k + q] += xi[p] * xi[q];
-    }
-  }
-  // Tiny ridge keeps near-singular designs (e.g. constant covariates in a
-  // balance check) solvable without special-casing.
-  for (std::size_t p = 0; p < k; ++p) a[p * k + p] += 1e-9;
-
-  // Gaussian elimination with partial pivoting.
-  std::vector<double> beta = b;
-  for (std::size_t col = 0; col < k; ++col) {
-    std::size_t pivot = col;
-    for (std::size_t r = col + 1; r < k; ++r) {
-      if (std::fabs(a[r * k + col]) > std::fabs(a[pivot * k + col])) pivot = r;
-    }
-    if (pivot != col) {
-      for (std::size_t c = 0; c < k; ++c) std::swap(a[col * k + c], a[pivot * k + c]);
-      std::swap(beta[col], beta[pivot]);
-    }
-    const double d = a[col * k + col];
-    require(std::fabs(d) > 1e-30, "ols: singular normal equations");
-    for (std::size_t r = 0; r < k; ++r) {
-      if (r == col) continue;
-      const double f = a[r * k + col] / d;
-      if (f == 0.0) continue;
-      for (std::size_t c = col; c < k; ++c) a[r * k + c] -= f * a[col * k + c];
-      beta[r] -= f * beta[col];
-    }
-  }
-  for (std::size_t p = 0; p < k; ++p) beta[p] /= a[p * k + p];
-  return beta;
-}
-
 }  // namespace bblab::stats

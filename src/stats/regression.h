@@ -2,13 +2,12 @@
 //
 // Section 6 of the paper fits, for every market, a linear regression of
 // monthly price on plan capacity; the slope is the "cost of increasing
-// capacity by 1 Mbps" that drives Fig. 10, Table 5, and Table 6. We provide
-// simple (y = a + b x) OLS with inference, plus a small multivariate OLS
-// used for covariate-balance diagnostics in the causal layer.
+// capacity by 1 Mbps" that drives Fig. 10, Table 5, and Table 6: simple
+// (y = a + b x) OLS with inference.
 #pragma once
 
+#include <cstddef>
 #include <span>
-#include <vector>
 
 namespace bblab::stats {
 
@@ -29,11 +28,5 @@ struct LinearFit {
 /// points or zero x-variance yields a degenerate (all-zero) fit.
 [[nodiscard]] LinearFit linear_fit(std::span<const double> xs,
                                    std::span<const double> ys);
-
-/// Multivariate OLS via normal equations with ridge fallback on singular
-/// Gram matrices. `rows` is n x k (design matrix WITHOUT intercept column;
-/// an intercept is always added). Returns k+1 coefficients, intercept first.
-[[nodiscard]] std::vector<double> ols(const std::vector<std::vector<double>>& rows,
-                                      std::span<const double> ys);
 
 }  // namespace bblab::stats

@@ -1,8 +1,13 @@
 #!/usr/bin/env bash
 # Failure-path contract of the bblab CLI: every bad invocation — unknown
-# command, unknown option, option missing its value, subcommand missing
-# its argument — prints the usage text to stderr, prints NOTHING to
-# stdout, and exits 2.
+# command, unknown option, option missing its value, malformed or
+# out-of-range numeric value, subcommand missing its argument — prints the
+# usage text to stderr, prints NOTHING to stdout, and exits 2 before any
+# work starts (no dataset, no thread pool, no output directory, no cache
+# change).
+#
+# --threads is only ever given values that bblab rejects: an accepted large
+# value would start that many threads.
 set -u
 
 BBLAB=$1
@@ -61,6 +66,61 @@ check "log-level missing value" "$BBLAB" generate --log-level
 check "log-level invalid"       "$BBLAB" generate --log-level verbose
 check "metrics-out no path"     "$BBLAB" generate --metrics-out
 check "trace-out no path"       "$BBLAB" generate --trace-out
+
+# Numeric values: the whole token must parse, and be in range.
+NEVER="$WORK/never"
+check "seed not a number"       "$BBLAB" experiment tab5 --seed abc --scale 0.01 --days 0.1
+check "seed negative"           "$BBLAB" generate --out "$NEVER" --seed -1
+check "seed overflows u64"      "$BBLAB" generate --out "$NEVER" --seed 18446744073709551616
+check "seed with sign"          "$BBLAB" generate --out "$NEVER" --seed +7
+check "seed with space"         "$BBLAB" generate --out "$NEVER" --seed " 7"
+check "scale trailing garbage"  "$BBLAB" generate --out "$NEVER" --scale 0.01x
+check "scale not a number"      "$BBLAB" generate --out "$NEVER" --scale abc
+check "scale zero"              "$BBLAB" generate --out "$NEVER" --scale 0
+check "scale negative"          "$BBLAB" generate --out "$NEVER" --scale -0.5
+check "scale infinite"          "$BBLAB" generate --out "$NEVER" --scale inf
+check "scale nan"               "$BBLAB" generate --out "$NEVER" --scale nan
+check "days zero"               "$BBLAB" generate --out "$NEVER" --days 0
+check "days trailing garbage"   "$BBLAB" generate --out "$NEVER" --days 1d
+check "days empty"              "$BBLAB" generate --out "$NEVER" --days ""
+check "deadline negative"       "$BBLAB" generate --out "$NEVER" --deadline -1
+check "deadline nan"            "$BBLAB" generate --out "$NEVER" --deadline nan
+check "deadline infinite"       "$BBLAB" generate --out "$NEVER" --deadline inf
+check "deadline suffix"         "$BBLAB" generate --out "$NEVER" --deadline 5s
+check "threads trailing garbage" "$BBLAB" generate --out "$NEVER" --scale 0.01x --threads 1x
+check "threads garbage alone"   "$BBLAB" generate --out "$NEVER" --threads 1x
+check "threads not a number"    "$BBLAB" generate --out "$NEVER" --threads abc
+check "threads above ceiling"   "$BBLAB" generate --out "$NEVER" --threads 257
+check "threads empty"           "$BBLAB" generate --out "$NEVER" --threads ""
+check "serve threads ceiling"   timeout 30 "$BBLAB" serve --socket "$WORK/s.sock" --threads 257
+check "serve threads garbage"   timeout 30 "$BBLAB" serve --socket "$WORK/s.sock" --threads 2x
+check "retries garbage"         "$BBLAB" generate --out "$NEVER" --retries 3x
+check "retries negative"        "$BBLAB" generate --out "$NEVER" --retries -2
+check "retries overflow int"    "$BBLAB" generate --out "$NEVER" --retries 2147483648
+check "max-open-bytes suffix"   timeout 30 "$BBLAB" serve --socket "$WORK/s.sock" --max-open-bytes 10GB
+check "max-open-bytes overflow" timeout 30 "$BBLAB" serve --socket "$WORK/s.sock" --max-open-bytes 99999999999999999999
+if [ -e "$NEVER" ] || [ -e "$WORK/s.sock" ]; then
+  echo "FAIL: a rejected invocation created output before exiting"
+  fails=1
+fi
+
+# cache trim reads its budget as a byte count: "1e9" and "10GB" are usage
+# errors, and the entry already in the cache survives them.
+export BBLAB_CACHE_DIR="$WORK/cache"
+if "$BBLAB" generate --cache --seed 5 --scale 0.01 --days 0.1 --threads 1 \
+    --out "$WORK/gen" >/dev/null 2>&1; then
+  check "max-cache-bytes exponent" "$BBLAB" cache trim --max-cache-bytes 1e9
+  check "max-cache-bytes suffix"   "$BBLAB" cache trim --max-cache-bytes 10GB
+  check "max-cache-bytes negative" "$BBLAB" cache trim --max-cache-bytes -1
+  entries=$("$BBLAB" cache ls | sed '$d' | wc -l)
+  if [ "$entries" -ne 1 ]; then
+    echo "FAIL: rejected cache trim changed the cache: $entries entries, want 1"
+    fails=1
+  fi
+else
+  echo "FAIL: could not populate a cache entry for the trim checks"
+  fails=1
+fi
 
 if [ "$fails" -ne 0 ]; then
   exit 1

@@ -47,32 +47,5 @@ TEST(Pearson, KnownValue) {
   EXPECT_NEAR(pearson(xs, ys), 0.8, 1e-12);
 }
 
-TEST(Ranks, HandlesTiesWithMidranks) {
-  const std::vector<double> xs{10, 20, 20, 30};
-  const auto r = ranks(xs);
-  ASSERT_EQ(r.size(), 4u);
-  EXPECT_DOUBLE_EQ(r[0], 1.0);
-  EXPECT_DOUBLE_EQ(r[1], 2.5);
-  EXPECT_DOUBLE_EQ(r[2], 2.5);
-  EXPECT_DOUBLE_EQ(r[3], 4.0);
-}
-
-TEST(Spearman, MonotoneNonlinearIsOne) {
-  std::vector<double> xs;
-  std::vector<double> ys;
-  for (int i = 1; i <= 50; ++i) {
-    xs.push_back(i);
-    ys.push_back(std::exp(0.3 * i));  // monotone but very nonlinear
-  }
-  EXPECT_NEAR(spearman(xs, ys), 1.0, 1e-12);
-  EXPECT_LT(pearson(xs, ys), 0.9);  // Pearson penalizes the nonlinearity
-}
-
-TEST(Spearman, RobustToOutliers) {
-  std::vector<double> xs{1, 2, 3, 4, 5, 6, 7, 8, 9, 10};
-  std::vector<double> ys{1, 2, 3, 4, 5, 6, 7, 8, 9, 1000};
-  EXPECT_NEAR(spearman(xs, ys), 1.0, 1e-12);
-}
-
 }  // namespace
 }  // namespace bblab::stats

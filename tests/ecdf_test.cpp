@@ -111,57 +111,5 @@ TEST(Ecdf, SummaryMentionsMedian) {
   EXPECT_EQ(Ecdf{}.summary(), "(empty)");
 }
 
-TEST(KsStatistic, IdenticalSamplesAreZero) {
-  const std::vector<double> xs{1, 2, 3, 4, 5};
-  EXPECT_DOUBLE_EQ(ks_statistic(Ecdf{xs}, Ecdf{xs}), 0.0);
-}
-
-TEST(KsStatistic, DisjointSamplesAreOne) {
-  EXPECT_DOUBLE_EQ(
-      ks_statistic(Ecdf{std::vector<double>{1, 2}}, Ecdf{std::vector<double>{10, 11}}),
-      1.0);
-}
-
-TEST(KsStatistic, SameDistributionIsSmall) {
-  Rng rng{7};
-  std::vector<double> a;
-  std::vector<double> b;
-  for (int i = 0; i < 5000; ++i) a.push_back(rng.normal(0, 1));
-  for (int i = 0; i < 5000; ++i) b.push_back(rng.normal(0, 1));
-  EXPECT_LT(ks_statistic(Ecdf{a}, Ecdf{b}), 0.05);
-}
-
-TEST(KsStatistic, MergeMatchesBruteForceSup) {
-  // The O(n+m) merge must equal the definition: the sup of |F1 - F2|
-  // evaluated at every sample point of both distributions.
-  Rng rng{41};
-  for (int trial = 0; trial < 10; ++trial) {
-    std::vector<double> a;
-    std::vector<double> b;
-    const int na = 5 + static_cast<int>(rng.index(200));
-    const int nb = 5 + static_cast<int>(rng.index(200));
-    for (int i = 0; i < na; ++i) a.push_back(rng.normal(0.0, 1.0));
-    for (int i = 0; i < nb; ++i) {
-      b.push_back(rng.bernoulli(0.3) ? a[rng.index(a.size())]  // forced ties
-                                     : rng.normal(0.5, 1.2));
-    }
-    const Ecdf ea{a};
-    const Ecdf eb{b};
-    double brute = 0.0;
-    for (const double x : ea.sorted()) brute = std::max(brute, std::abs(ea(x) - eb(x)));
-    for (const double x : eb.sorted()) brute = std::max(brute, std::abs(ea(x) - eb(x)));
-    EXPECT_DOUBLE_EQ(ks_statistic(ea, eb), brute) << trial;
-  }
-}
-
-TEST(KsStatistic, ShiftedDistributionIsLarge) {
-  Rng rng{9};
-  std::vector<double> a;
-  std::vector<double> b;
-  for (int i = 0; i < 2000; ++i) a.push_back(rng.normal(0, 1));
-  for (int i = 0; i < 2000; ++i) b.push_back(rng.normal(2, 1));
-  EXPECT_GT(ks_statistic(Ecdf{a}, Ecdf{b}), 0.5);
-}
-
 }  // namespace
 }  // namespace bblab::stats

@@ -1,6 +1,6 @@
 // Differential property test: the zero-allocation incremental fluid
 // engine must be BYTE-EXACT against the recompute-everything reference
-// engine (FluidOptions::reference_engine) on randomized workloads. This
+// engine (FluidLinkSimulator::run_reference) on randomized workloads. This
 // is the contract that lets the bbstore cache keep its fingerprints and
 // the parallel pipeline its thread-count determinism across the
 // optimization: not "close", identical down to the last bit of every bin.
@@ -68,8 +68,8 @@ void expect_identical(const BinnedUsage& a, const BinnedUsage& b) {
 }
 
 // 8 seeds x 125 iterations = 1000 randomized workloads, mixing volume and
-// duration flows, both directions, off-window starts, bufferbloat on/off,
-// varied bin widths, and non-zero window origins.
+// duration flows, both directions, off-window starts, varied bin widths,
+// and non-zero window origins.
 // One workspace is reused across every optimized run, so cross-workload
 // state leakage would surface as a mismatch too.
 class FluidDifferential : public ::testing::TestWithParam<std::uint64_t> {};
@@ -85,17 +85,9 @@ TEST_P(FluidDifferential, OptimizedMatchesReferenceByteExactly) {
     const double window_s = static_cast<double>(bins) * bin_width;
     const auto flows = random_flows(rng, window_start, window_s);
 
-    FluidOptions options;
-    options.bufferbloat = rng.bernoulli(0.4);
-    options.buffer_ms = rng.uniform(50.0, 600.0);
-
-    FluidOptions ref_options = options;
-    ref_options.reference_engine = true;
-    const FluidLinkSimulator optimized{link, TcpModel{}, options};
-    const FluidLinkSimulator reference{link, TcpModel{}, ref_options};
-
-    const auto fast = optimized.run(flows, window_start, bins, bin_width, ws);
-    const auto slow = reference.run(flows, window_start, bins, bin_width);
+    const FluidLinkSimulator sim{link};
+    const auto fast = sim.run(flows, window_start, bins, bin_width, ws);
+    const auto slow = sim.run_reference(flows, window_start, bins, bin_width);
     expect_identical(fast, slow);
     if (::testing::Test::HasFailure()) {
       FAIL() << "divergence at seed " << GetParam() << " iteration " << iter;
@@ -126,15 +118,9 @@ TEST_P(FluidDifferentialWorkload, GeneratedUserDaysMatchByteExactly) {
     const SimTime t0 = std::floor(rng.uniform(0.0, 300.0)) * kDay;
     const auto flows = gen.generate(params, link, t0, t0 + kDay / 4.0, rng);
 
-    FluidOptions options;
-    options.bufferbloat = iter % 2 == 1;
-    FluidOptions ref_options = options;
-    ref_options.reference_engine = true;
-    const FluidLinkSimulator optimized{link, TcpModel{}, options};
-    const FluidLinkSimulator reference{link, TcpModel{}, ref_options};
-
-    const auto fast = optimized.run(flows, t0, 720, 30.0, ws);
-    const auto slow = reference.run(flows, t0, 720, 30.0);
+    const FluidLinkSimulator sim{link};
+    const auto fast = sim.run(flows, t0, 720, 30.0, ws);
+    const auto slow = sim.run_reference(flows, t0, 720, 30.0);
     expect_identical(fast, slow);
     if (::testing::Test::HasFailure()) {
       FAIL() << "divergence at seed " << GetParam() << " iteration " << iter;

@@ -289,57 +289,6 @@ TEST(FluidSim, ExpiredDurationFlowContributesNothing) {
   EXPECT_NEAR(total(mixed.down_bytes), 5e6, 1e3);
 }
 
-TEST(FluidSim, BufferbloatThrottlesTcpBoundFlowsWhenSaturated) {
-  // A swarm saturates the downlink; with bufferbloat enabled, the induced
-  // queueing delay inflates every flow's RTT, so a concurrent TCP-bound
-  // transfer on a lossy path gets less done than without bloat.
-  AccessLink l = clean_link(6.0);
-  l.rtt_ms = 60.0;
-  l.loss = 0.004;  // makes web TCP-bound so RTT matters
-
-  std::vector<Flow> flows;
-  Flow bt;
-  bt.start = 0.0;
-  bt.app = AppKind::kBitTorrent;
-  bt.duration_s = 600.0;
-  flows.push_back(bt);  // saturates: 24-connection cap >> 6 Mbps
-  Flow web;
-  web.start = 10.0;
-  web.app = AppKind::kWeb;
-  web.volume_bytes = 3e6;
-  flows.push_back(web);
-
-  const FluidLinkSimulator plain{l};
-  const FluidLinkSimulator bloated{l, TcpModel{}, FluidOptions{.bufferbloat = true,
-                                                               .buffer_ms = 400.0}};
-  const auto p = plain.run(flows, 0.0, 4, 30.0);
-  const auto b = bloated.run(flows, 0.0, 4, 30.0);
-  // Total bytes stay link-bound either way, but the web flow's early-bin
-  // share shrinks under bloat (its TCP cap fell; the swarm takes over).
-  EXPECT_GT(total(p.down_bytes), 0.0);
-  EXPECT_GT(total(b.down_bytes), 0.0);
-  // The web transfer finishes later under bloat: bin 0 carries less of it.
-  // Proxy: the bloated run needs more bins before cumulative bytes reach
-  // the plain run's bin-0 total.
-  EXPECT_LE(b.down_bytes[0], p.down_bytes[0] * 1.0001);
-}
-
-TEST(FluidSim, BufferbloatIdleLinkUnaffected) {
-  const AccessLink l = clean_link(10.0);
-  Flow video;
-  video.start = 0.0;
-  video.app = AppKind::kVideo;
-  video.duration_s = 120.0;
-  video.rate_cap = Rate::from_mbps(2.0);  // far below capacity: no queue
-  const FluidLinkSimulator plain{l};
-  const FluidLinkSimulator bloated{l, TcpModel{}, FluidOptions{.bufferbloat = true}};
-  const auto p = plain.run(std::vector<Flow>{video}, 0.0, 4, 30.0);
-  const auto b = bloated.run(std::vector<Flow>{video}, 0.0, 4, 30.0);
-  for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_NEAR(b.down_bytes[i], p.down_bytes[i], 1.0) << i;
-  }
-}
-
 TEST(FluidSim, SegmentsOnExactBinBoundaries) {
   // A constant-rate session whose start, end, and every interior segment
   // land exactly on bin boundaries: each covered bin gets exactly
@@ -372,78 +321,6 @@ TEST(FluidSim, SegmentEndingExactlyAtWindowEnd) {
   for (std::size_t i = 0; i < 3; ++i) {
     EXPECT_DOUBLE_EQ(usage.down_bytes[i], per_bin) << "bin " << i;
   }
-}
-
-TEST(FluidSim, BufferbloatUplinkGatedOnUplinkSaturation) {
-  // Downlink saturated, uplink idle: each direction is gated on its own
-  // queue, so an uplink flow on a lossy path keeps its unbloated TCP cap
-  // while the downlink queue fills.
-  AccessLink l = clean_link(6.0);
-  l.up = Rate::from_mbps(10.0);  // roomy uplink: never saturated here
-  l.rtt_ms = 60.0;
-  l.loss = 0.004;  // TCP-bound, so RTT inflation bites
-
-  std::vector<Flow> flows;
-  // Two swarm flows: each cap is clamped at link capacity, so one alone
-  // can never push offered load past the saturation threshold.
-  Flow bt;
-  bt.start = 0.0;
-  bt.app = AppKind::kBitTorrent;
-  bt.duration_s = 120.0;
-  flows.push_back(bt);
-  flows.push_back(bt);  // together they saturate the 6 Mbps downlink
-  Flow up;
-  up.start = 0.0;
-  up.app = AppKind::kBackground;  // single connection, loss-limited
-  up.direction = Direction::kUp;
-  up.duration_s = 120.0;
-  flows.push_back(up);
-
-  const FluidLinkSimulator plain{l};
-  const FluidLinkSimulator bloated{
-      l, TcpModel{}, FluidOptions{.bufferbloat = true, .buffer_ms = 400.0}};
-  const auto p = plain.run(flows, 0.0, 4, 30.0);
-  const auto b = bloated.run(flows, 0.0, 4, 30.0);
-  // The uplink never saturates, so the downlink queue leaves it exactly
-  // as it is without bloat.
-  EXPECT_GT(total(b.up_bytes), 0.0);
-  for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_DOUBLE_EQ(b.up_bytes[i], p.up_bytes[i]) << "bin " << i;
-  }
-}
-
-TEST(FluidSim, BufferbloatUplinkSaturationBloatsUplink) {
-  // Uplink saturated by a seeding swarm while the downlink idles: with
-  // per-direction gating the uplink's own queue inflates uplink RTTs.
-  AccessLink l = clean_link(50.0);
-  l.up = Rate::from_mbps(1.0);
-  l.rtt_ms = 60.0;
-  l.loss = 0.004;
-
-  std::vector<Flow> flows;
-  Flow seed;
-  seed.start = 0.0;
-  seed.app = AppKind::kBitTorrent;
-  seed.direction = Direction::kUp;
-  seed.duration_s = 120.0;
-  flows.push_back(seed);  // 24-connection cap >> 1 Mbps uplink
-  Flow up;
-  up.start = 0.0;
-  up.app = AppKind::kBackground;
-  up.direction = Direction::kUp;
-  up.duration_s = 120.0;
-  flows.push_back(up);
-
-  const FluidLinkSimulator plain{l};
-  const FluidLinkSimulator bloated{
-      l, TcpModel{}, FluidOptions{.bufferbloat = true, .buffer_ms = 400.0}};
-  const auto p = plain.run(flows, 0.0, 4, 30.0);
-  const auto b = bloated.run(flows, 0.0, 4, 30.0);
-  // The background uploader's share shrinks under bloat (its TCP cap
-  // fell; the swarm's 24 connections take over), so the swarm-dominated
-  // split differs from the unbloated run.
-  EXPECT_GT(total(p.up_bytes), 0.0);
-  EXPECT_GT(total(b.up_bytes), 0.0);
 }
 
 TEST(FluidSim, WorkspaceReuseMatchesFreshRuns) {

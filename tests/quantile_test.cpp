@@ -40,12 +40,6 @@ TEST(Quantile, EdgeCases) {
   EXPECT_THROW((void)quantile(std::vector<double>{1, 2}, -0.1), InvalidArgument);
 }
 
-TEST(Quantile, Iqr) {
-  std::vector<double> xs;
-  for (int i = 1; i <= 100; ++i) xs.push_back(i);
-  EXPECT_NEAR(iqr(xs), 49.5, 1e-9);
-}
-
 TEST(Quantile, BatchMatchesIndividual) {
   Rng rng{3};
   std::vector<double> xs;
@@ -68,7 +62,6 @@ TEST(Quantile, NanElementsAreDropped) {
   for (const double q : {0.0, 0.25, 0.5, 0.95, 1.0}) {
     EXPECT_DOUBLE_EQ(quantile(dirty, q), quantile(clean, q)) << "q=" << q;
   }
-  EXPECT_DOUBLE_EQ(iqr(dirty), iqr(clean));
   const std::vector<double> qs{0.1, 0.5, 0.9};
   const auto batch_dirty = quantiles(dirty, qs);
   const auto batch_clean = quantiles(clean, qs);
@@ -82,7 +75,6 @@ TEST(Quantile, AllNanBehavesLikeEmpty) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const std::vector<double> xs{nan, nan, nan};
   EXPECT_DOUBLE_EQ(quantile(xs, 0.5), 0.0);
-  EXPECT_DOUBLE_EQ(iqr(xs), 0.0);
 }
 
 TEST(QuantileSorted, EmptyColumnThrowsTypedError) {

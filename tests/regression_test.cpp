@@ -54,48 +54,5 @@ TEST(LinearFit, DegenerateInputs) {
                InvalidArgument);
 }
 
-TEST(Ols, MatchesSimpleRegression) {
-  Rng rng{5};
-  std::vector<std::vector<double>> rows;
-  std::vector<double> ys;
-  std::vector<double> xs;
-  for (int i = 0; i < 500; ++i) {
-    const double x = rng.uniform(0, 10);
-    rows.push_back({x});
-    xs.push_back(x);
-    ys.push_back(1.5 - 0.7 * x + rng.normal(0, 0.1));
-  }
-  const auto beta = ols(rows, ys);
-  const auto fit = linear_fit(xs, ys);
-  ASSERT_EQ(beta.size(), 2u);
-  EXPECT_NEAR(beta[0], fit.intercept, 1e-6);
-  EXPECT_NEAR(beta[1], fit.slope, 1e-6);
-}
-
-TEST(Ols, RecoversMultivariateCoefficients) {
-  Rng rng{7};
-  std::vector<std::vector<double>> rows;
-  std::vector<double> ys;
-  for (int i = 0; i < 4000; ++i) {
-    const double a = rng.uniform(-1, 1);
-    const double b = rng.uniform(-1, 1);
-    const double c = rng.uniform(-1, 1);
-    rows.push_back({a, b, c});
-    ys.push_back(2.0 + 1.0 * a - 3.0 * b + 0.5 * c + rng.normal(0, 0.05));
-  }
-  const auto beta = ols(rows, ys);
-  ASSERT_EQ(beta.size(), 4u);
-  EXPECT_NEAR(beta[0], 2.0, 0.01);
-  EXPECT_NEAR(beta[1], 1.0, 0.01);
-  EXPECT_NEAR(beta[2], -3.0, 0.01);
-  EXPECT_NEAR(beta[3], 0.5, 0.01);
-}
-
-TEST(Ols, ValidatesShapes) {
-  EXPECT_THROW(ols({}, std::vector<double>{}), InvalidArgument);
-  EXPECT_THROW(ols({{1.0}, {2.0, 3.0}}, std::vector<double>{1, 2}), InvalidArgument);
-  EXPECT_THROW(ols({{1.0}}, std::vector<double>{1, 2}), InvalidArgument);
-}
-
 }  // namespace
 }  // namespace bblab::stats

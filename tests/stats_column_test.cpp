@@ -128,8 +128,13 @@ TEST(EcdfEvalSorted, MatchesScalarUpperBound) {
   std::vector<double> sample;
   for (int i = 0; i < 777; ++i) sample.push_back(rng.normal(0.0, 1.0));
   std::sort(sample.begin(), sample.end());
+  // A third of the queries sit exactly on sample values (some repeated),
+  // so the merge's `<=` advance is checked on ties, not only between them.
   std::vector<double> queries;
-  for (int i = 0; i < 300; ++i) queries.push_back(rng.normal(0.0, 1.5));
+  for (int i = 0; i < 300; ++i) {
+    queries.push_back(rng.bernoulli(0.3) ? sample[rng.index(sample.size())]
+                                         : rng.normal(0.0, 1.5));
+  }
   std::sort(queries.begin(), queries.end());
   std::vector<double> out(queries.size());
   ecdf_eval_sorted(sample, queries, out);

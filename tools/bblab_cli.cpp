@@ -9,10 +9,13 @@
 //   bblab cat <file.bbs>              inspect and verify a binary snapshot
 //   bblab cache <ls|rm KEY...|rm all> manage the simulation artifact cache
 //
-// Common options:
+// Common options (numeric values must parse whole and be in range, or
+// the command is a usage error before any work starts):
 //   --seed N        generator seed            (default 2014)
-//   --scale X       population scale          (default 0.1)
-//   --days X        observation window days   (default 1.0)
+//   --threads N     worker threads, 0 = all cores (default 0; at most
+//                   core::kMaxThreads)
+//   --scale X       population scale, > 0     (default 0.1)
+//   --days X        observation window days, > 0 (default 1.0)
 //   --out DIR       output directory for `generate` (default bblab_out)
 //   --faults SPEC   fault-injection plan, e.g. "churn=0.2,corrupt=0.05"
 //   --qc-report     print the quarantine/QC table after generation
@@ -21,7 +24,7 @@
 //   --cache-dir DIR cache root (default $BBLAB_CACHE_DIR or ~/.cache/bblab)
 //   --checkpoint DIR persist completed shards under DIR (crash-safe runs)
 //   --resume        reuse shards already checkpointed under --checkpoint
-//   --deadline X    per-shard watchdog deadline in seconds
+//   --deadline X    per-shard watchdog deadline in seconds, >= 0
 //   --retries N     I/O retry attempts for transient failures (default 4)
 //   --fs-faults SPEC filesystem fault plan, e.g. "eio@3x2,crash@7"
 //                   (also read from $BBLAB_FS_FAULTS)
@@ -34,10 +37,12 @@
 // more shards quarantined; dataset is partial), 64 injected crash.
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <optional>
 #include <sstream>
@@ -48,7 +53,9 @@
 #include "analysis/report.h"
 #include "core/fs.h"
 #include "core/logging.h"
+#include "core/parse.h"
 #include "core/signal.h"
+#include "core/thread_pool.h"
 #include "dataset/csv.h"
 #include "dataset/generator.h"
 #include "faults/fault_plan.h"
@@ -144,27 +151,50 @@ std::optional<LogLevel> parse_log_level(const std::string& name) {
 }
 
 bool parse(int argc, char** argv, CliOptions& options) {
+  constexpr std::uint64_t kAnyU64 = std::numeric_limits<std::uint64_t>::max();
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
     const auto next = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
+    // A numeric value is the whole token (parse_number) and in range;
+    // anything else is named here and becomes a usage error.
+    const auto invalid = [&](const char* v) {
+      std::cerr << "invalid value for " << arg << ": '" << v << "'\n";
+    };
+    const auto count = [&](std::uint64_t min,
+                           std::uint64_t max) -> std::optional<std::uint64_t> {
+      const char* v = next();
+      if (v == nullptr) return std::nullopt;
+      const auto n = parse_number<std::uint64_t>(v);
+      if (n && *n >= min && *n <= max) return n;
+      invalid(v);
+      return std::nullopt;
+    };
+    const auto finite_positive = [&](bool allow_zero) -> std::optional<double> {
+      const char* v = next();
+      if (v == nullptr) return std::nullopt;
+      const auto x = parse_number<double>(v);
+      if (x && std::isfinite(*x) && (*x > 0.0 || (allow_zero && *x == 0.0))) return x;
+      invalid(v);
+      return std::nullopt;
+    };
     if (arg == "--seed") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      options.seed = std::strtoull(v, nullptr, 10);
+      const auto v = count(0, kAnyU64);
+      if (!v) return false;
+      options.seed = *v;
     } else if (arg == "--threads") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      options.threads = static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
+      const auto v = count(0, core::kMaxThreads);
+      if (!v) return false;
+      options.threads = static_cast<std::size_t>(*v);
     } else if (arg == "--scale") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      options.scale = std::atof(v);
+      const auto v = finite_positive(false);
+      if (!v) return false;
+      options.scale = *v;
     } else if (arg == "--days") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      options.days = std::atof(v);
+      const auto v = finite_positive(false);
+      if (!v) return false;
+      options.days = *v;
     } else if (arg == "--out") {
       const char* v = next();
       if (v == nullptr) return false;
@@ -187,14 +217,13 @@ bool parse(int argc, char** argv, CliOptions& options) {
     } else if (arg == "--resume") {
       options.resume = true;
     } else if (arg == "--deadline") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      options.deadline_s = std::atof(v);
+      const auto v = finite_positive(true);
+      if (!v) return false;
+      options.deadline_s = *v;
     } else if (arg == "--retries") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      options.retries = std::atoi(v);
-      if (options.retries < 1) return false;
+      const auto v = count(1, std::numeric_limits<int>::max());
+      if (!v) return false;
+      options.retries = static_cast<int>(*v);
     } else if (arg == "--fs-faults") {
       const char* v = next();
       if (v == nullptr) return false;
@@ -220,13 +249,13 @@ bool parse(int argc, char** argv, CliOptions& options) {
       if (v == nullptr) return false;
       options.snapshot = v;
     } else if (arg == "--max-open-bytes") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      options.max_open_bytes = std::strtoull(v, nullptr, 10);
+      const auto v = count(0, kAnyU64);
+      if (!v) return false;
+      options.max_open_bytes = *v;
     } else if (arg == "--max-cache-bytes") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      options.max_cache_bytes = std::strtoull(v, nullptr, 10);
+      const auto v = count(0, kAnyU64);
+      if (!v) return false;
+      options.max_cache_bytes = *v;
     } else if (arg == "--by-age") {
       options.by_age = true;
     } else if (arg == "--qc-report") {
@@ -609,9 +638,13 @@ int cmd_query(const CliOptions& options) {
   request.snapshot = options.snapshot;
   serve::Client client{options.socket};
   // --deadline doubles as the client-side response timeout (the server
-  // enforces its own per-query deadline independently).
+  // enforces its own per-query deadline independently). Clamped so that a
+  // huge finite deadline cannot overflow the int.
   const int timeout_ms =
-      options.deadline_s > 0 ? static_cast<int>(options.deadline_s * 1000.0) : -1;
+      options.deadline_s > 0
+          ? static_cast<int>(std::min(options.deadline_s * 1000.0,
+                                      double{std::numeric_limits<int>::max()}))
+          : -1;
   const auto response = client.call(request, timeout_ms);
   if (response.status == serve::Status::kOk) {
     std::cout << response.body;
