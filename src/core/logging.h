@@ -25,7 +25,7 @@ namespace detail {
 template <typename... Args>
 std::string concat(const Args&... args) {
   std::ostringstream os;
-  (os << ... << args);
+  ((os << args), ...);
   return os.str();
 }
 }  // namespace detail

@@ -15,11 +15,12 @@ void DasuCollector::sample(const netsim::BinnedUsage& truth, double phase_shift_
                                   ? CounterKind::kUpnp32
                                   : CounterKind::kNetstat64};
   const int bits = counter.bits();
-  const double availability_floor = params_.availability_floor;
-  const double swing = 1.0 - availability_floor;
   const double sample_loss = params_.sample_loss;
   GridCalendar calendar{diurnal_.clock(), truth.start, truth.bin_width_s,
                         truth.bins()};
+  // The host is up when u < floor + (1 - floor) * activity.
+  netsim::DiurnalSqueeze availability{diurnal_.params(), params_.availability_floor,
+                                      1.0 - params_.availability_floor};
 
   // Walk the ground-truth bins keeping true cumulative totals; a sample is
   // taken at a bin boundary only when the host is observed there. Missed
@@ -40,11 +41,10 @@ void DasuCollector::sample(const netsim::BinnedUsage& truth, double phase_shift_
         truth.start + static_cast<double>(i + 1) * truth.bin_width_s;
     calendar.advance();
 
-    const double availability =
-        availability_floor + swing * diurnal_.activity_at(calendar.hour_of_day(),
-                                                          calendar.is_weekend(),
-                                                          phase_shift_hours);
-    const bool host_up = rng.bernoulli(availability);
+    const bool host_up = availability.below(rng.uniform(), boundary, [&] {
+      return diurnal_.activity_at(calendar.hour_of_day(), calendar.is_weekend(),
+                                  phase_shift_hours);
+    });
     const bool sampled = host_up && !rng.bernoulli(sample_loss);
     if (!sampled) continue;
 

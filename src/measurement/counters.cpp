@@ -1,22 +1,6 @@
 #include "measurement/counters.h"
 
-#include <cmath>
-
-#include "core/error.h"
-
 namespace bblab::measurement {
-
-std::uint64_t counter_delta(std::uint64_t previous, std::uint64_t current, int bits) {
-  require(bits > 0 && bits <= 64, "counter_delta: bits must be in (0, 64]");
-  if (bits == 64) {
-    return current >= previous ? current - previous
-                               : (~previous + 1) + current;  // one wrap
-  }
-  const std::uint64_t modulus = 1ULL << bits;
-  require(previous < modulus && current < modulus,
-          "counter_delta: reading exceeds counter width");
-  return current >= previous ? current - previous : modulus - previous + current;
-}
 
 CounterStep counter_step(std::uint64_t previous, std::uint64_t current, int bits,
                          double interval_s, double max_plausible_rate_bps) {
@@ -34,13 +18,6 @@ CounterStep counter_step(std::uint64_t previous, std::uint64_t current, int bits
     step.bytes = as_wrap;
   }
   return step;
-}
-
-std::uint64_t CounterReader::read(double true_total_bytes) const {
-  require(true_total_bytes >= 0.0, "CounterReader: totals are non-negative");
-  const auto total = static_cast<std::uint64_t>(std::llround(true_total_bytes));
-  if (kind_ == CounterKind::kNetstat64) return total;
-  return total & 0xFFFFFFFFULL;
 }
 
 }  // namespace bblab::measurement

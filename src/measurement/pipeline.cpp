@@ -74,15 +74,15 @@ HouseholdResult simulate_household(const PipelineToolkit& kit,
   HouseholdWorkspace local;
   HouseholdWorkspace& ws = workspace != nullptr ? *workspace : local;
   HouseholdResult result;
-  std::vector<netsim::Flow> flows;
   {
     OBS_SPAN("measure.workload");
-    flows = kit.workload->generate(task.workload, task.link, task.t0, t1, rng);
+    kit.workload->generate(task.workload, task.link, task.t0, t1, rng, ws.flows,
+                           ws.arrivals);
   }
   {
     OBS_SPAN("measure.fluid");
     const netsim::FluidLinkSimulator sim{task.link, kit.tcp};
-    result.truth = sim.run(flows, task.t0, task.bins, task.bin_width_s, ws.fluid);
+    result.truth = sim.run(ws.flows, task.t0, task.bins, task.bin_width_s, ws.fluid);
   }
   OBS_SPAN("measure.collect");
   if (task.collector == CollectorKind::kGateway) {

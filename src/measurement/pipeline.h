@@ -72,11 +72,14 @@ struct HouseholdResult {
   UsageSummary summary;       ///< the per-user demand metrics
 };
 
-/// Per-worker scratch for simulate_household: the fluid engine's buffers
-/// and the collector's summary columns. Batch drivers keep one per block
-/// of households, so every household after the first simulates and
-/// summarizes without per-bin allocation.
+/// Per-worker scratch for simulate_household: the workload's flow and
+/// arrival buffers, the fluid engine's buffers and the collector's
+/// summary columns. Batch drivers keep one per block of households, so
+/// every household after the first generates, simulates and summarizes
+/// without per-flow or per-bin allocation.
 struct HouseholdWorkspace {
+  std::vector<netsim::Flow> flows;
+  std::vector<SimTime> arrivals;
   netsim::FluidWorkspace fluid;
   SummaryColumns columns;
 };

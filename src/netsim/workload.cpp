@@ -7,26 +7,30 @@
 
 namespace bblab::netsim {
 
-std::vector<double> video_ladder_mbps() {
-  return {0.35, 0.7, 1.1, 1.8, 2.6, 3.5, 5.0, 8.0};
-}
-
 WorkloadGenerator::WorkloadGenerator(DiurnalModel diurnal, TcpModel tcp,
                                      WorkloadConstants constants)
-    : diurnal_{diurnal}, tcp_{tcp}, constants_{constants} {}
+    : diurnal_{diurnal},
+      tcp_{tcp},
+      constants_{constants},
+      web_page_mu_{std::log(constants.web_page_median_bytes)},
+      video_duration_mu_{std::log(constants.video_duration_median_s)},
+      bt_duration_mu_{std::log(constants.bt_duration_median_s)},
+      bt_swarm_mu_{std::log(constants.bt_swarm_median_mbps)},
+      update_volume_mu_{std::log(constants.update_volume_median_bytes)} {}
 
 double WorkloadGenerator::abr_bitrate_mbps(const AccessLink& link,
                                            double top_mbps) const {
   const double sustainable =
       tcp_.steady_throughput(link).mbps() * constants_.video_abr_headroom;
   const double budget = std::min(sustainable, top_mbps);
+  constexpr auto kLadder = video_ladder_mbps();
   double best = 0.0;
-  for (const double rung : video_ladder_mbps()) {
+  for (const double rung : kLadder) {
     if (rung <= budget) best = rung;
   }
   // Even a hopeless link plays the bottom rung (with stalls we do not
   // model; the QoE suppression lives in the behavior layer's intensity).
-  return best > 0.0 ? best : video_ladder_mbps().front();
+  return best > 0.0 ? best : kLadder.front();
 }
 
 void WorkloadGenerator::poisson_arrivals(double peak_per_hour, SimTime t0, SimTime t1,
@@ -35,23 +39,35 @@ void WorkloadGenerator::poisson_arrivals(double peak_per_hour, SimTime t0, SimTi
   if (peak_per_hour <= 0.0 || t1 <= t0) return;
   const double rate_per_s = peak_per_hour / kHour;
   // Thinning: draw at the peak rate, keep with probability activity(t).
+  DiurnalSqueeze keep{diurnal_.params()};
   SimTime t = t0;
   while (true) {
     t += rng.exponential(rate_per_s);
     if (t >= t1) break;
-    if (rng.uniform() < diurnal_.activity(t, phase_shift)) out.push_back(t);
+    if (keep.below(rng.uniform(), t, [&] { return diurnal_.activity(t, phase_shift); })) {
+      out.push_back(t);
+    }
   }
 }
 
 std::vector<Flow> WorkloadGenerator::generate(const WorkloadParams& params,
                                               const AccessLink& link, SimTime t0,
                                               SimTime t1, Rng& rng) const {
+  std::vector<Flow> flows;
+  std::vector<SimTime> arrivals;
+  generate(params, link, t0, t1, rng, flows, arrivals);
+  return flows;
+}
+
+void WorkloadGenerator::generate(const WorkloadParams& params, const AccessLink& link,
+                                 SimTime t0, SimTime t1, Rng& rng,
+                                 std::vector<Flow>& flows,
+                                 std::vector<SimTime>& arrivals) const {
   require(t1 > t0, "WorkloadGenerator::generate: empty window");
   require(params.intensity >= 0.0, "WorkloadGenerator: intensity must be >= 0");
   require(params.heavy_intensity >= 0.0,
           "WorkloadGenerator: heavy_intensity must be >= 0");
-  std::vector<Flow> flows;
-  std::vector<SimTime> arrivals;
+  flows.clear();
   const double phase = params.phase_shift_hours;
 
   // --- Web browsing: short volume-bound fetch bursts. -----------------
@@ -63,8 +79,7 @@ std::vector<Flow> WorkloadGenerator::generate(const WorkloadParams& params,
     f.start = t;
     f.app = AppKind::kWeb;
     f.direction = Direction::kDown;
-    f.volume_bytes = rng.lognormal(std::log(constants_.web_page_median_bytes),
-                                   constants_.web_page_log_sigma);
+    f.volume_bytes = rng.lognormal(web_page_mu_, constants_.web_page_log_sigma);
     flows.push_back(f);
   }
 
@@ -78,8 +93,7 @@ std::vector<Flow> WorkloadGenerator::generate(const WorkloadParams& params,
     f.start = t;
     f.app = AppKind::kVideo;
     f.direction = Direction::kDown;
-    f.duration_s = rng.lognormal(std::log(constants_.video_duration_median_s),
-                                 constants_.video_duration_log_sigma);
+    f.duration_s = rng.lognormal(video_duration_mu_, constants_.video_duration_log_sigma);
     // 10% container/transport overhead over the media bitrate.
     f.rate_cap = Rate::from_mbps(bitrate * 1.1);
     flows.push_back(f);
@@ -105,10 +119,10 @@ std::vector<Flow> WorkloadGenerator::generate(const WorkloadParams& params,
     arrivals.clear();
     poisson_arrivals(params.bt_sessions_per_day / 24.0, t0, t1, phase, rng, arrivals);
     for (const SimTime t : arrivals) {
-      const double duration = rng.lognormal(std::log(constants_.bt_duration_median_s),
-                                            constants_.bt_duration_log_sigma);
-      const double swarm_mbps = rng.lognormal(std::log(constants_.bt_swarm_median_mbps),
-                                              constants_.bt_swarm_log_sigma);
+      const double duration =
+          rng.lognormal(bt_duration_mu_, constants_.bt_duration_log_sigma);
+      const double swarm_mbps =
+          rng.lognormal(bt_swarm_mu_, constants_.bt_swarm_log_sigma);
       Flow down;
       down.start = t;
       down.app = AppKind::kBitTorrent;
@@ -166,14 +180,12 @@ std::vector<Flow> WorkloadGenerator::generate(const WorkloadParams& params,
     f.start = t;
     f.app = AppKind::kBackground;
     f.direction = Direction::kDown;
-    f.volume_bytes = rng.lognormal(std::log(constants_.update_volume_median_bytes),
-                                   constants_.update_volume_log_sigma);
+    f.volume_bytes = rng.lognormal(update_volume_mu_, constants_.update_volume_log_sigma);
     flows.push_back(f);
   }
 
   std::sort(flows.begin(), flows.end(),
             [](const Flow& a, const Flow& b) { return a.start < b.start; });
-  return flows;
 }
 
 }  // namespace bblab::netsim

@@ -12,6 +12,7 @@
 //     household's latent need and connection quality (§5-§7).
 #pragma once
 
+#include <array>
 #include <vector>
 
 #include "core/rng.h"
@@ -77,15 +78,24 @@ struct WorkloadConstants {
 };
 
 /// The 2011-2013 ABR bitrate ladder (Mbps).
-[[nodiscard]] std::vector<double> video_ladder_mbps();
+[[nodiscard]] constexpr std::array<double, 8> video_ladder_mbps() {
+  return {0.35, 0.7, 1.1, 1.8, 2.6, 3.5, 5.0, 8.0};
+}
 
 class WorkloadGenerator {
  public:
   WorkloadGenerator(DiurnalModel diurnal, TcpModel tcp = TcpModel{},
                     WorkloadConstants constants = {});
 
-  /// Generate all flows for one user on `link` over [t0, t1), sorted by
-  /// start time. Deterministic given the Rng state.
+  /// Generate all flows for one user on `link` over [t0, t1) into `flows`
+  /// (replacing its contents), sorted by start time. `arrivals` is
+  /// scratch. Deterministic given the Rng state; once the two buffers have
+  /// held a household of this size the call allocates nothing.
+  void generate(const WorkloadParams& params, const AccessLink& link, SimTime t0,
+                SimTime t1, Rng& rng, std::vector<Flow>& flows,
+                std::vector<SimTime>& arrivals) const;
+
+  /// The same flows in fresh buffers.
   [[nodiscard]] std::vector<Flow> generate(const WorkloadParams& params,
                                            const AccessLink& link, SimTime t0,
                                            SimTime t1, Rng& rng) const;
@@ -106,6 +116,12 @@ class WorkloadGenerator {
   DiurnalModel diurnal_;
   TcpModel tcp_;
   WorkloadConstants constants_;
+  /// log() of the constants' lognormal medians, taken once.
+  double web_page_mu_;
+  double video_duration_mu_;
+  double bt_duration_mu_;
+  double bt_swarm_mu_;
+  double update_volume_mu_;
 };
 
 }  // namespace bblab::netsim

@@ -16,7 +16,10 @@
 #include "core/time.h"
 #include "measurement/collectors.h"
 #include "measurement/counters.h"
+#include "measurement/pipeline.h"
 #include "netsim/diurnal.h"
+#include "netsim/fluid.h"
+#include "netsim/workload.h"
 
 namespace {
 
@@ -103,6 +106,49 @@ TEST(AllocFree, WarmFusedDasuSummaryAllocatesNothing) {
     EXPECT_EQ(after - before, 0u) << "seed " << seed;
     EXPECT_GT(summary.samples, 0u);
     EXPECT_LT(summary.samples_no_bt, summary.samples);
+  }
+}
+
+TEST(AllocFree, WarmHouseholdAllocatesOnlyItsFluidOutput) {
+  // A warm HouseholdWorkspace holds the workload's flow and arrival
+  // buffers, so a later simulate_household allocates nothing in workload
+  // generation or collection: its whole count equals what the fluid step
+  // alone allocates for the same flows (the bins it returns).
+  const netsim::DiurnalModel diurnal{netsim::DiurnalParams{}, SimClock{2011}};
+  const netsim::WorkloadGenerator workload{diurnal};
+  const measurement::DasuCollector dasu{measurement::DasuCollectorParams{}, diurnal};
+  measurement::PipelineToolkit kit;
+  kit.workload = &workload;
+  kit.dasu = &dasu;
+  measurement::HouseholdTask task;
+  task.workload.bt_sessions_per_day = 3.0;
+  task.t0 = 40 * kDay;
+  task.bins = 864;
+  const SimTime t1 = task.t0 + static_cast<double>(task.bins) * task.bin_width_s;
+  const netsim::FluidLinkSimulator sim{task.link, kit.tcp};
+
+  measurement::HouseholdWorkspace ws;
+  for (std::uint64_t seed = 1; seed < 12; ++seed) {  // warm for every seed
+    Rng rng{seed};
+    (void)measurement::simulate_household(kit, task, rng, &ws);
+  }
+  for (std::uint64_t seed = 1; seed < 12; ++seed) {
+    Rng probe{seed};
+    std::size_t before = allocations();
+    workload.generate(task.workload, task.link, task.t0, t1, probe, ws.flows, ws.arrivals);
+    EXPECT_EQ(allocations() - before, 0u) << "generate, seed " << seed;
+    EXPECT_GT(ws.flows.size(), 10u);
+    before = allocations();
+    const auto truth = sim.run(ws.flows, task.t0, task.bins, task.bin_width_s, ws.fluid);
+    const std::size_t fluid_output = allocations() - before;
+
+    Rng rng{seed};
+    before = allocations();
+    const auto result = measurement::simulate_household(kit, task, rng, &ws);
+    const std::size_t household = allocations() - before;
+    EXPECT_EQ(household, fluid_output) << "seed " << seed;
+    EXPECT_EQ(result.truth.down_bytes, truth.down_bytes);
+    EXPECT_GT(result.summary.samples, 0u);
   }
 }
 

@@ -17,7 +17,7 @@ TEST(LogChoose, SmallValuesExact) {
   EXPECT_NEAR(std::exp(log_choose(10, 0)), 1.0, 1e-9);
   EXPECT_NEAR(std::exp(log_choose(10, 10)), 1.0, 1e-9);
   EXPECT_NEAR(std::exp(log_choose(52, 5)), 2598960.0, 1.0);
-  EXPECT_THROW(log_choose(3, 4), InvalidArgument);
+  EXPECT_THROW((void)log_choose(3, 4), InvalidArgument);
 }
 
 TEST(BinomialPmf, SumsToOne) {
@@ -97,9 +97,9 @@ TEST(BinomialTest, EmptyTrialsAreInconclusive) {
 }
 
 TEST(BinomialTest, ValidatesInputs) {
-  EXPECT_THROW(binomial_p_greater(5, 3), InvalidArgument);
-  EXPECT_THROW(binomial_p_greater(1, 2, 0.0), InvalidArgument);
-  EXPECT_THROW(binomial_p_greater(1, 2, 1.0), InvalidArgument);
+  EXPECT_THROW((void)binomial_p_greater(5, 3), InvalidArgument);
+  EXPECT_THROW((void)binomial_p_greater(1, 2, 0.0), InvalidArgument);
+  EXPECT_THROW((void)binomial_p_greater(1, 2, 1.0), InvalidArgument);
 }
 
 // High-precision references for the million-trial regression below: sum

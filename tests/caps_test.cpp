@@ -46,8 +46,8 @@ TEST(CapThrottle, MonotoneAndHeavierOnHeavyChannel) {
 }
 
 TEST(CapThrottle, Validation) {
-  EXPECT_THROW(cap_throttle(1e9, 0.0), InvalidArgument);
-  EXPECT_THROW(cap_throttle(-1.0, 1e9), InvalidArgument);
+  EXPECT_THROW((void)cap_throttle(1e9, 0.0), InvalidArgument);
+  EXPECT_THROW((void)cap_throttle(-1.0, 1e9), InvalidArgument);
 }
 
 TEST(EstimateMonthlyBytes, ScalesWithIntensity) {

@@ -102,7 +102,7 @@ TEST(PlanCatalog, NearestTierFindsClosestInLogSpace) {
   const auto& tier = catalog.nearest_tier(Rate::from_mbps(17.6));
   EXPECT_GT(tier.download.mbps(), 8.0);
   EXPECT_LT(tier.download.mbps(), 40.0);
-  EXPECT_THROW(PlanCatalog{}.nearest_tier(Rate::from_mbps(1)), InvalidArgument);
+  EXPECT_THROW((void)PlanCatalog{}.nearest_tier(Rate::from_mbps(1)), InvalidArgument);
 }
 
 TEST(PlanCatalog, ByCapacityIsSorted) {

@@ -26,7 +26,7 @@ TEST(Pearson, DegenerateInputsAreZero) {
 }
 
 TEST(Pearson, MismatchedLengthsThrow) {
-  EXPECT_THROW(pearson(std::vector<double>{1, 2}, std::vector<double>{1}),
+  EXPECT_THROW((void)pearson(std::vector<double>{1, 2}, std::vector<double>{1}),
                InvalidArgument);
 }
 

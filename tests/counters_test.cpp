@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <ios>
+#include <vector>
+
 #include "core/error.h"
+#include "core/rng.h"
 
 namespace bblab::measurement {
 namespace {
@@ -30,9 +36,9 @@ TEST(CounterDelta, SixtyFourBit) {
 }
 
 TEST(CounterDelta, Validation) {
-  EXPECT_THROW(counter_delta(1, 2, 0), InvalidArgument);
-  EXPECT_THROW(counter_delta(1, 2, 65), InvalidArgument);
-  EXPECT_THROW(counter_delta(1ULL << 33, 0, 32), InvalidArgument);
+  EXPECT_THROW((void)counter_delta(1, 2, 0), InvalidArgument);
+  EXPECT_THROW((void)counter_delta(1, 2, 65), InvalidArgument);
+  EXPECT_THROW((void)counter_delta(1ULL << 33, 0, 32), InvalidArgument);
 }
 
 TEST(CounterStep, NormalProgressIsPassedThrough) {
@@ -62,8 +68,8 @@ TEST(CounterStep, ImplausibleWrapIsAReset) {
 }
 
 TEST(CounterStep, Validation) {
-  EXPECT_THROW(counter_step(0, 1, 32, 0.0, 1e6), InvalidArgument);
-  EXPECT_THROW(counter_step(0, 1, 32, 30.0, 0.0), InvalidArgument);
+  EXPECT_THROW((void)counter_step(0, 1, 32, 0.0, 1e6), InvalidArgument);
+  EXPECT_THROW((void)counter_step(0, 1, 32, 30.0, 0.0), InvalidArgument);
 }
 
 TEST(CounterReader, Upnp32Wraps) {
@@ -81,6 +87,42 @@ TEST(CounterReader, Netstat64DoesNotWrap) {
   EXPECT_EQ(reader.bits(), 64);
   const double five_gb = 5.0 * 1024 * 1024 * 1024;
   EXPECT_EQ(reader.read(five_gb), static_cast<std::uint64_t>(five_gb));
+}
+
+TEST(CounterReader, RoundsLikeLlround) {
+  // read() rounds half up without libm; on non-negative totals it must
+  // equal std::llround, including the values where floor(x + 0.5) fails
+  // (0.49999999999999994) and where the fraction is at its coarsest.
+  const CounterReader netstat{CounterKind::kNetstat64};
+  const CounterReader upnp{CounterKind::kUpnp32};
+  std::vector<double> totals = {0.0, 0.5, 1.5, 2.5, 0.49999999999999994,
+                                0x1p52 - 0.5, 0x1p52, 0x1p52 + 0.5, 0x1p52 + 1.0,
+                                0x1p53 + 2.0, 1e18};
+  for (const double base : {0x1p32, 0x1p33}) {
+    for (const double offset : {-1.5, -1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0, 1.5}) {
+      totals.push_back(base + offset);
+    }
+    totals.push_back(std::nextafter(base - 0.5, 0.0));
+    totals.push_back(std::nextafter(base + 0.5, 0.0));
+  }
+  Rng rng{52};
+  for (int i = 0; i < 10000; ++i) {
+    totals.push_back(rng.uniform(0.0, 0x1p34));
+    totals.push_back(std::floor(rng.uniform(0.0, 0x1p40)) + 0.5);
+  }
+  for (const double x : totals) {
+    const auto expected = static_cast<std::uint64_t>(std::llround(x));
+    EXPECT_EQ(netstat.read(x), expected) << std::hexfloat << x;
+    EXPECT_EQ(upnp.read(x), expected & 0xFFFFFFFFULL) << std::hexfloat << x;
+  }
+}
+
+TEST(CounterReader, RejectsTotalsOutsideTheCounterDomain) {
+  const CounterReader reader{CounterKind::kNetstat64};
+  EXPECT_THROW((void)reader.read(-0.5), InvalidArgument);
+  EXPECT_THROW((void)reader.read(std::nan("")), InvalidArgument);
+  EXPECT_THROW((void)reader.read(0x1p64), InvalidArgument);
+  EXPECT_EQ(reader.read(0x1p63), std::uint64_t{1} << 63);
 }
 
 TEST(CounterReader, DoubleWrapWithinOneIntervalAliases) {

@@ -103,7 +103,7 @@ TEST(World, LookupAndSubset) {
   const World world = World::builtin();
   EXPECT_TRUE(world.contains("US"));
   EXPECT_FALSE(world.contains("XX"));
-  EXPECT_THROW(world.at("XX"), InvalidArgument);
+  EXPECT_THROW((void)world.at("XX"), InvalidArgument);
 
   const std::vector<std::string> codes{"BW", "SA", "US", "JP"};
   const World sub = world.subset(codes);

@@ -44,7 +44,7 @@ TEST(DemandModel, PressureFactorRisesWithUnmetNeed) {
   const double oversupplied = model.pressure_factor(1.0, Rate::from_mbps(100));
   EXPECT_LT(oversupplied, 1.0);
   EXPECT_GE(oversupplied, model.params().pressure_min);
-  EXPECT_THROW(model.pressure_factor(0.0, Rate::from_mbps(1)), InvalidArgument);
+  EXPECT_THROW((void)model.pressure_factor(0.0, Rate::from_mbps(1)), InvalidArgument);
 }
 
 TEST(DemandModel, QualityFactorPenalizesBadLinks) {
@@ -130,7 +130,7 @@ TEST(DemandModel, FixedNoiseIsDeterministic) {
   const auto b = model.workload_params(ctx, 1.3, 2.0);
   EXPECT_DOUBLE_EQ(a.intensity, b.intensity);
   EXPECT_DOUBLE_EQ(a.phase_shift_hours, 2.0);
-  EXPECT_THROW(model.workload_params(ctx, 0.0, 0.0), InvalidArgument);
+  EXPECT_THROW((void)model.workload_params(ctx, 0.0, 0.0), InvalidArgument);
 }
 
 // Property: intensity is monotone in capacity for fixed need (the planted

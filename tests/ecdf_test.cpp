@@ -25,7 +25,7 @@ TEST(Ecdf, EmptyBehaves) {
   const Ecdf e;
   EXPECT_TRUE(e.empty());
   EXPECT_DOUBLE_EQ(e(1.0), 0.0);
-  EXPECT_THROW(e.min(), InvalidArgument);
+  EXPECT_THROW((void)e.min(), InvalidArgument);
   // The operations that must read at least one value throw the typed
   // error instead of reading element 0 of nothing.
   EXPECT_THROW((void)e.min(), EmptyColumn);

@@ -23,7 +23,7 @@ UnitTable table(std::size_t dim,
 }
 
 TEST(WithinCaliper, PaperExamples) {
-  const MatcherOptions opt{.caliper = 0.25};
+  const MatcherOptions opt{.caliper = 0.25, .absolute_slacks = {}};
   // "users with latencies of 50 and 62 ms and ... $25 and $30 ... are
   // sufficiently similar" (§3.2).
   EXPECT_TRUE(within_caliper(std::vector<double>{50.0, 25.0},
@@ -33,13 +33,13 @@ TEST(WithinCaliper, PaperExamples) {
 }
 
 TEST(WithinCaliper, ZeroValuesMatchViaAbsoluteSlack) {
-  const MatcherOptions opt{.caliper = 0.25, .absolute_slack = 1e-4};
+  const MatcherOptions opt{.caliper = 0.25, .absolute_slack = 1e-4, .absolute_slacks = {}};
   EXPECT_TRUE(within_caliper(std::vector<double>{0.0}, std::vector<double>{5e-5}, opt));
   EXPECT_FALSE(within_caliper(std::vector<double>{0.0}, std::vector<double>{0.01}, opt));
 }
 
 TEST(WithinCaliper, DimensionMismatchThrows) {
-  EXPECT_THROW(within_caliper(std::vector<double>{1.0}, std::vector<double>{1.0, 2.0},
+  EXPECT_THROW((void)within_caliper(std::vector<double>{1.0}, std::vector<double>{1.0, 2.0},
                               MatcherOptions{}),
                InvalidArgument);
 }
@@ -105,9 +105,10 @@ TEST(CaliperMatcher, TighterCaliperFewerMatches) {
     treated.push_back(rng.uniform(), {rng.lognormal(3.0, 0.8)});
     control.push_back(rng.uniform(), {rng.lognormal(3.0, 0.8)});
   }
-  const auto loose = CaliperMatcher{MatcherOptions{.caliper = 0.5}}.match(treated, control);
-  const auto tight =
-      CaliperMatcher{MatcherOptions{.caliper = 0.05}}.match(treated, control);
+  const auto loose = CaliperMatcher{MatcherOptions{.caliper = 0.5, .absolute_slacks = {}}}
+                         .match(treated, control);
+  const auto tight = CaliperMatcher{MatcherOptions{.caliper = 0.05, .absolute_slacks = {}}}
+                         .match(treated, control);
   EXPECT_GT(loose.size(), tight.size());
   EXPECT_FALSE(tight.empty());
 }
@@ -120,7 +121,7 @@ TEST(CaliperMatcher, MatchedPairsRespectCaliper) {
     treated.push_back(rng.uniform(), {rng.lognormal(2.0, 1.0), rng.uniform(10, 100)});
     control.push_back(rng.uniform(), {rng.lognormal(2.0, 1.0), rng.uniform(10, 100)});
   }
-  const MatcherOptions opt{.caliper = 0.25};
+  const MatcherOptions opt{.caliper = 0.25, .absolute_slacks = {}};
   const auto pairs = CaliperMatcher{opt}.match(treated, control);
   EXPECT_FALSE(pairs.empty());
   for (const auto& p : pairs) {

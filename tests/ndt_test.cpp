@@ -84,7 +84,7 @@ TEST(NdtProbe, ValidatesInputs) {
   Rng rng{1};
   netsim::AccessLink bad = link(10);
   bad.down = Rate{};
-  EXPECT_THROW(probe.measure_once(bad, rng), InvalidArgument);
+  EXPECT_THROW((void)probe.measure_once(bad, rng), InvalidArgument);
 }
 
 }  // namespace

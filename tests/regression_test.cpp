@@ -50,7 +50,7 @@ TEST(LinearFit, DegenerateInputs) {
   const auto flat =
       linear_fit(std::vector<double>{2, 2, 2}, std::vector<double>{1, 2, 3});
   EXPECT_DOUBLE_EQ(flat.slope, 0.0);
-  EXPECT_THROW(linear_fit(std::vector<double>{1, 2}, std::vector<double>{1}),
+  EXPECT_THROW((void)linear_fit(std::vector<double>{1, 2}, std::vector<double>{1}),
                InvalidArgument);
 }
 

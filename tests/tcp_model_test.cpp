@@ -84,9 +84,9 @@ TEST(TcpModel, ValidatesInputs) {
   const TcpModel tcp;
   AccessLink bad = link(10, 50, 0.001);
   bad.rtt_ms = 0.0;
-  EXPECT_THROW(tcp.steady_throughput(bad), InvalidArgument);
-  EXPECT_THROW(tcp.parallel_throughput(link(10, 50, 0), 0), InvalidArgument);
-  EXPECT_THROW(tcp.transfer_throughput(link(10, 50, 0), -1.0), InvalidArgument);
+  EXPECT_THROW((void)tcp.steady_throughput(bad), InvalidArgument);
+  EXPECT_THROW((void)tcp.parallel_throughput(link(10, 50, 0), 0), InvalidArgument);
+  EXPECT_THROW((void)tcp.transfer_throughput(link(10, 50, 0), -1.0), InvalidArgument);
 }
 
 // Property sweep: throughput never exceeds capacity for any quality.
