@@ -15,7 +15,7 @@
 
 #include "analysis/report.h"
 #include "analysis/tables.h"
-#include "bench_common.h"
+#include "dataset/generator.h"
 
 namespace {
 
@@ -45,10 +45,15 @@ int main() {
   out << "  variant               tab1 peak   tab3 price (mid) tab7 avg-latency\n";
   std::array<char, 200> buf{};
   for (const auto& v : variants) {
-    dataset::StudyConfig config = bench::bench_config();
-    config.population_scale = bench::env_positive("BBLAB_ABL_SCALE", 0.15);
+    dataset::StudyConfig config;
+    config.seed = 2014;
+    config.population_scale = 0.15;
     config.window_days = 1.0;
+    config.fcc_users = 900;
+    config.fcc_window_days = 3.0;
+    config.first_year = 2011;
     config.last_year = 2012;
+    config.upgrade_follow_share = 0.35;
     config.disable_capacity_effect = v.no_capacity;
     config.disable_pressure_effect = v.no_pressure;
     config.disable_quality_effect = v.no_quality;

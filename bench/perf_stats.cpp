@@ -1,15 +1,12 @@
 // Microbenchmarks for the SoA stats core: the batched/branchless kernels
-// against the scalar paths they replaced. Each pair (radix vs std::sort,
-// merge-ECDF vs per-query binary search, batched vs per-call quantiles,
-// shared-tail vs scalar binomial) quantifies the kernel's win on the
-// column sizes the analysis layer actually sees (figure columns are
-// 10^3..10^5 rows locally, 10^6+ at M-Lab scale).
+// (radix sorts and permutations, merge-ECDF evaluation, batched
+// quantiles, shared-tail binomial tests, block moments) on the column
+// sizes the analysis layer actually sees (figure columns are 10^3..10^5
+// rows locally, 10^6+ at M-Lab scale).
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <numeric>
 #include <vector>
 
 #include "core/rng.h"
@@ -17,7 +14,6 @@
 #include "stats/column.h"
 #include "stats/descriptive.h"
 #include "stats/ecdf.h"
-#include "stats/quantile.h"
 
 namespace {
 
@@ -44,7 +40,7 @@ std::vector<std::uint64_t> user_id_column(std::size_t n) {
   return ids;
 }
 
-// --- sorting: radix vs std::sort ------------------------------------------
+// --- sorting ---------------------------------------------------------------
 
 void BM_SortDoubleRadix(benchmark::State& state) {
   const auto xs = lognormal_column(static_cast<std::size_t>(state.range(0)));
@@ -57,17 +53,6 @@ void BM_SortDoubleRadix(benchmark::State& state) {
 }
 BENCHMARK(BM_SortDoubleRadix)->Arg(4096)->Arg(65536)->Arg(1 << 20);
 
-void BM_SortDoubleStd(benchmark::State& state) {
-  const auto xs = lognormal_column(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    auto copy = xs;
-    std::sort(copy.begin(), copy.end());
-    benchmark::DoNotOptimize(copy.data());
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_SortDoubleStd)->Arg(4096)->Arg(65536)->Arg(1 << 20);
-
 void BM_SortedFiniteWithNans(benchmark::State& state) {
   // The full column-construction path: branchless NaN compaction + sort.
   const auto xs =
@@ -79,7 +64,7 @@ void BM_SortedFiniteWithNans(benchmark::State& state) {
 }
 BENCHMARK(BM_SortedFiniteWithNans)->Arg(65536)->Arg(1 << 20);
 
-// --- user-id merge keys: radix permutation vs comparison sort -------------
+// --- user-id merge keys ----------------------------------------------------
 
 void BM_SortPermutationRadix(benchmark::State& state) {
   const auto ids = user_id_column(static_cast<std::size_t>(state.range(0)));
@@ -90,21 +75,6 @@ void BM_SortPermutationRadix(benchmark::State& state) {
 }
 BENCHMARK(BM_SortPermutationRadix)->Arg(4096)->Arg(65536)->Arg(1 << 20);
 
-void BM_SortPermutationStdStable(benchmark::State& state) {
-  const auto ids = user_id_column(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    std::vector<std::uint32_t> perm(ids.size());
-    std::iota(perm.begin(), perm.end(), 0u);
-    std::stable_sort(perm.begin(), perm.end(),
-                     [&](std::uint32_t a, std::uint32_t b) {
-                       return ids[a] < ids[b];
-                     });
-    benchmark::DoNotOptimize(perm.data());
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_SortPermutationStdStable)->Arg(4096)->Arg(65536)->Arg(1 << 20);
-
 void BM_GroupByKey(benchmark::State& state) {
   const auto ids = user_id_column(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
@@ -114,7 +84,7 @@ void BM_GroupByKey(benchmark::State& state) {
 }
 BENCHMARK(BM_GroupByKey)->Arg(65536)->Arg(1 << 20);
 
-// --- ECDF evaluation: linear merge vs per-query binary search -------------
+// --- ECDF evaluation by linear merge --------------------------------------
 
 void BM_EcdfEvalBatch(benchmark::State& state) {
   const stats::Ecdf ecdf{lognormal_column(262144)};
@@ -132,23 +102,7 @@ void BM_EcdfEvalBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_EcdfEvalBatch)->Arg(64)->Arg(1024)->Arg(16384);
 
-void BM_EcdfEvalScalar(benchmark::State& state) {
-  const stats::Ecdf ecdf{lognormal_column(262144)};
-  const auto m = static_cast<std::size_t>(state.range(0));
-  std::vector<double> queries(m);
-  for (std::size_t i = 0; i < m; ++i) {
-    queries[i] = 0.01 + 40.0 * static_cast<double>(i) / static_cast<double>(m);
-  }
-  std::vector<double> out(m);
-  for (auto _ : state) {
-    for (std::size_t i = 0; i < m; ++i) out[i] = ecdf(queries[i]);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_EcdfEvalScalar)->Arg(64)->Arg(1024)->Arg(16384);
-
-// --- quantiles: one sorted column vs re-sort per call ---------------------
+// --- quantiles from one sorted column -------------------------------------
 
 void BM_QuantilesBatchSorted(benchmark::State& state) {
   const stats::SortedColumn col{lognormal_column(262144)};
@@ -161,22 +115,7 @@ void BM_QuantilesBatchSorted(benchmark::State& state) {
 }
 BENCHMARK(BM_QuantilesBatchSorted);
 
-void BM_QuantilesResortPerCall(benchmark::State& state) {
-  const auto xs = lognormal_column(262144);
-  const std::vector<double> qs{0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99};
-  std::vector<double> out(qs.size());
-  for (auto _ : state) {
-    for (std::size_t i = 0; i < qs.size(); ++i) {
-      out[i] = stats::quantile(xs, qs[i]);  // copies + sorts every call
-    }
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(qs.size()));
-}
-BENCHMARK(BM_QuantilesResortPerCall);
-
-// --- binomial tails: shared descending accumulation vs per-query ----------
+// --- binomial tails: one shared descending accumulation -------------------
 
 void BM_BinomialBatch(benchmark::State& state) {
   const std::uint64_t trials = 1000000;
@@ -193,26 +132,7 @@ void BM_BinomialBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_BinomialBatch)->Arg(16)->Arg(256);
 
-void BM_BinomialScalarLoop(benchmark::State& state) {
-  const std::uint64_t trials = 1000000;
-  const auto m = static_cast<std::size_t>(state.range(0));
-  Rng rng{31};
-  std::vector<std::uint64_t> ks(m);
-  for (auto& k : ks) {
-    k = static_cast<std::uint64_t>(rng.uniform(499000.0, 505000.0));
-  }
-  std::vector<double> out(m);
-  for (auto _ : state) {
-    for (std::size_t i = 0; i < m; ++i) {
-      out[i] = stats::binomial_p_greater(ks[i], trials);
-    }
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_BinomialScalarLoop)->Arg(16)->Arg(256);
-
-// --- running moments: block add vs per-element calls ----------------------
+// --- running moments: block add -------------------------------------------
 
 void BM_RunningStatsBlockAdd(benchmark::State& state) {
   const auto xs = lognormal_column(static_cast<std::size_t>(state.range(0)));
@@ -222,17 +142,6 @@ void BM_RunningStatsBlockAdd(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_RunningStatsBlockAdd)->Arg(65536);
-
-void BM_RunningStatsScalarAdds(benchmark::State& state) {
-  const auto xs = lognormal_column(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    stats::RunningStats rs;
-    for (const double x : xs) rs.add(x);
-    benchmark::DoNotOptimize(rs.mean());
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_RunningStatsScalarAdds)->Arg(65536);
 
 }  // namespace
 

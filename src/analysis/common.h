@@ -21,6 +21,10 @@ namespace bblab::analysis {
 
 using RecordPtr = const dataset::UserRecord*;
 
+/// The paper's four case-study markets (§5, Tab. 4, Fig. 7-9):
+/// Botswana, Saudi Arabia, US, Japan, in the order of rising capacity.
+inline const std::vector<std::string> kCaseStudyMarkets{"BW", "SA", "US", "JP"};
+
 /// Demand metric selectors (bps).
 [[nodiscard]] inline double mean_down_bps(const dataset::UserRecord& r, bool with_bt) {
   return with_bt ? r.usage.mean_down.bps() : r.usage.mean_down_no_bt.bps();

@@ -1,7 +1,7 @@
 // Figure pipelines: one function per figure in the paper's evaluation.
 //
-// Each returns plain data (series of points, ECDFs, matrices); the bench
-// binaries render them next to the paper's reported values. Keeping the
+// Each returns plain data (series of points, ECDFs, matrices); the
+// artifact registry (analysis/render.h) renders them as text. Keeping the
 // computation here lets integration tests assert on figure shape without
 // parsing text output.
 #pragma once

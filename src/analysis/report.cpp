@@ -11,13 +11,6 @@ void print_banner(std::ostream& out, const std::string& title) {
   out << "\n== " << title << " ==\n";
 }
 
-void print_compare(std::ostream& out, const std::string& what,
-                   const std::string& paper, const std::string& measured) {
-  out << "  " << what << "\n"
-      << "    paper:    " << paper << "\n"
-      << "    measured: " << measured << "\n";
-}
-
 void print_series(std::ostream& out, const std::string& name, const BinSeries& series) {
   out << "  " << name << " (r=" << num(series.r) << ")\n";
   std::array<char, 160> buf{};

@@ -1,8 +1,6 @@
-// Text rendering for the reproduction harness.
-//
-// Every bench prints the paper's reported values next to what this
-// reproduction measures, using these helpers so the format is uniform and
-// EXPERIMENTS.md can be assembled by eye or by script.
+// Text rendering for the artifact registry (analysis/render.h): every
+// figure and table prints its series, ECDFs and experiment rows with
+// these helpers, so the format is uniform across artifacts.
 #pragma once
 
 #include <cstddef>
@@ -18,10 +16,6 @@ namespace bblab::analysis {
 
 /// "== Figure 2 — usage vs capacity ==" style banner.
 void print_banner(std::ostream& out, const std::string& title);
-
-/// "paper: ... | measured: ..." comparison line.
-void print_compare(std::ostream& out, const std::string& what,
-                   const std::string& paper, const std::string& measured);
 
 /// A BinSeries as an aligned table of capacity -> usage ± CI.
 void print_series(std::ostream& out, const std::string& name, const BinSeries& series);

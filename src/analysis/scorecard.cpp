@@ -218,7 +218,7 @@ Scorecard run_scorecard(const dataset::StudyDataset& ds) {
       tab3.high.test.fraction > 0.51);
 
   // ---- Tab. 4 / Fig. 7: case study. -----------------------------------
-  const auto fig7 = fig7_country_cdfs(ds, {"BW", "SA", "US", "JP"});
+  const auto fig7 = fig7_country_cdfs(ds, kCaseStudyMarkets);
   if (fig7.size() == 4 && !fig7[0].capacity_mbps.empty()) {
     const bool caps_ascend =
         fig7[0].capacity_mbps.inverse(0.5) < fig7[1].capacity_mbps.inverse(0.5) &&

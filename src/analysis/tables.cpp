@@ -219,9 +219,14 @@ Tab7Result tab7_latency_experiment(const dataset::StudyDataset& ds) {
   Tab7Result tab;
   for (std::size_t band = 0; band < control_band; ++band) {
     Tab7Row row;
-    row.treatment_label = "(" + std::to_string(static_cast<int>(bands.lower(band))) +
-                          ", " + std::to_string(static_cast<int>(bands.upper(band))) +
-                          "] ms";
+    // Appended, not built with `"(" + std::to_string(...)`: GCC 12 raises a
+    // false -Wrestrict on that inlined concatenation in Release builds.
+    row.treatment_label.reserve(24);
+    row.treatment_label.append("(")
+        .append(std::to_string(static_cast<int>(bands.lower(band))))
+        .append(", ")
+        .append(std::to_string(static_cast<int>(bands.upper(band))))
+        .append("] ms");
     row.result = experiment.run(
         "(512,2048] vs " + row.treatment_label,
         make_units(by_rtt[band], outcome, covariates::kLatencyExperiment), control);

@@ -28,10 +28,9 @@
 
 namespace bblab::core {
 
-/// Most worker threads a command-line or environment override may ask
-/// for (`--threads`, `BBLAB_THREADS`): far above any core count the
-/// pipeline runs on, and low enough that a typo cannot make a pool spawn
-/// thousands of OS threads.
+/// Most worker threads a command-line override may ask for
+/// (`--threads`): far above any core count the pipeline runs on, and low
+/// enough that a typo cannot make a pool spawn thousands of OS threads.
 inline constexpr std::size_t kMaxThreads = 256;
 
 class ThreadPool {

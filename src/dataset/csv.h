@@ -1,6 +1,6 @@
 // CSV import/export for the generated datasets.
 //
-// The benches and examples can persist datasets so downstream tooling
+// `bblab generate` and the examples can persist datasets so downstream tooling
 // (plotting scripts, spreadsheets) can consume them, and regression tests
 // round-trip records through the format. RFC-4180-style quoting.
 #pragma once

@@ -1,6 +1,5 @@
 #include "serve/query.h"
 
-#include <algorithm>
 #include <filesystem>
 #include <sstream>
 
@@ -13,10 +12,6 @@
 namespace bblab::serve {
 
 namespace {
-
-bool known(const std::vector<std::string>& names, const std::string& name) {
-  return std::find(names.begin(), names.end(), name) != names.end();
-}
 
 void check_deadline(const core::Deadline& deadline, const char* stage) {
   if (deadline.expired()) {
@@ -33,11 +28,16 @@ Response run(const Request& request, DatasetLru& lru,
     case RequestKind::kInfo: {
       const auto stats = lru.stats();
       std::ostringstream out;
-      out << "figures:";
-      for (const auto& n : analysis::figure_names()) out << " " << n;
-      out << "\nexperiments:";
-      for (const auto& n : analysis::experiment_names()) out << " " << n;
-      out << "\nlru: entries=" << stats.entries
+      const auto list = [&](const char* label, analysis::ArtifactKind kind) {
+        out << label;
+        for (const auto& a : analysis::artifacts()) {
+          if (a.kind == kind) out << " " << a.name;
+        }
+        out << "\n";
+      };
+      list("figures:", analysis::ArtifactKind::kFigure);
+      list("experiments:", analysis::ArtifactKind::kTable);
+      out << "lru: entries=" << stats.entries
           << " open_bytes=" << stats.open_bytes << " max_bytes="
           << lru.max_bytes() << " hits=" << stats.hits
           << " misses=" << stats.misses << " evictions=" << stats.evictions
@@ -51,13 +51,17 @@ Response run(const Request& request, DatasetLru& lru,
   }
 
   // Name validation is free — do it before paying for a snapshot load.
-  if (request.kind == RequestKind::kFigure &&
-      !known(analysis::figure_names(), request.name)) {
-    return Response{Status::kNotFound, "unknown figure: " + request.name};
-  }
-  if (request.kind == RequestKind::kExperiment &&
-      !known(analysis::experiment_names(), request.name)) {
-    return Response{Status::kNotFound, "unknown experiment: " + request.name};
+  const analysis::Artifact* artifact = nullptr;
+  if (request.kind != RequestKind::kScorecard) {
+    const bool figure = request.kind == RequestKind::kFigure;
+    artifact = analysis::find_artifact(
+        request.name,
+        figure ? analysis::ArtifactKind::kFigure : analysis::ArtifactKind::kTable);
+    if (artifact == nullptr) {
+      return Response{Status::kNotFound,
+                      (figure ? "unknown figure: " : "unknown experiment: ") +
+                          request.name};
+    }
   }
   if (request.snapshot.empty()) {
     return Response{Status::kBadRequest, "request names no snapshot"};
@@ -77,18 +81,10 @@ Response run(const Request& request, DatasetLru& lru,
   std::ostringstream out;
   {
     OBS_SPAN("serve.render");
-    switch (request.kind) {
-      case RequestKind::kFigure:
-        analysis::render_figure(out, request.name, *ds);
-        break;
-      case RequestKind::kExperiment:
-        analysis::render_experiment(out, request.name, *ds);
-        break;
-      case RequestKind::kScorecard:
-        analysis::render_scorecard(out, *ds, request.name == "markdown");
-        break;
-      default:
-        break;  // unreachable: ping/info returned above
+    if (artifact != nullptr) {
+      artifact->render(out, *ds);
+    } else {
+      analysis::render_scorecard(out, *ds, request.name == "markdown");
     }
   }
   check_deadline(deadline, "after render");

@@ -60,7 +60,7 @@ class Ecdf {
   [[nodiscard]] std::vector<Point> sampled(std::size_t resolution) const;
 
   /// Render as a fixed set of quantile milestones ("p10=.. p25=.. ...") for
-  /// benches that print CDF shape comparisons.
+  /// the figures that print CDF shapes.
   [[nodiscard]] std::string summary() const;
 
   [[nodiscard]] const std::vector<double>& sorted() const { return sorted_; }

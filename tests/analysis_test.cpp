@@ -1,10 +1,13 @@
 #include "analysis/figures.h"
+#include "analysis/render.h"
 #include "analysis/scorecard.h"
 #include "analysis/tables.h"
 
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
 namespace bblab::analysis {
 namespace {
@@ -207,6 +210,54 @@ TEST(Tab5, RegionalOrderingMatchesPaper) {
   EXPECT_GT(africa1, 80.0);
   EXPECT_LT(europe1, 35.0);
   EXPECT_LE(na1, 0.0 + 1e-9);
+}
+
+TEST(ArtifactRegistry, EveryRowRendersNonEmpty) {
+  std::size_t figures = 0;
+  std::size_t tables = 0;
+  for (const auto& a : artifacts()) {
+    std::ostringstream direct;
+    a.render(direct, shared_dataset());
+    EXPECT_FALSE(direct.str().empty()) << a.name;
+    // The kind-checked entry points print the same bytes.
+    std::ostringstream looked_up;
+    if (a.kind == ArtifactKind::kFigure) {
+      ++figures;
+      EXPECT_TRUE(render_figure(looked_up, a.name, shared_dataset())) << a.name;
+    } else {
+      ++tables;
+      EXPECT_TRUE(render_experiment(looked_up, a.name, shared_dataset())) << a.name;
+    }
+    EXPECT_EQ(looked_up.str(), direct.str()) << a.name;
+  }
+  EXPECT_EQ(figures, 12u);
+  EXPECT_EQ(tables, 8u);
+}
+
+TEST(ArtifactRegistry, LookupChecksKindAndName) {
+  EXPECT_NE(find_artifact("fig3", ArtifactKind::kFigure), nullptr);
+  EXPECT_NE(find_artifact("tab4", ArtifactKind::kTable), nullptr);
+  EXPECT_EQ(find_artifact("tab1", ArtifactKind::kFigure), nullptr);
+  EXPECT_EQ(find_artifact("fig1", ArtifactKind::kTable), nullptr);
+  EXPECT_EQ(find_artifact("fig13", ArtifactKind::kFigure), nullptr);
+  EXPECT_EQ(find_artifact("", ArtifactKind::kTable), nullptr);
+
+  std::ostringstream out;
+  EXPECT_FALSE(render_figure(out, "tab1", shared_dataset()));
+  EXPECT_FALSE(render_experiment(out, "fig1", shared_dataset()));
+  EXPECT_FALSE(render_figure(out, "fig99", shared_dataset()));
+  EXPECT_FALSE(render_experiment(out, "tab99", shared_dataset()));
+  EXPECT_TRUE(out.str().empty());
+}
+
+// perfbench's `study` workload renders exactly these names, and CI pins
+// the md5 of that output.
+TEST(ArtifactRegistry, BenchmarkedNamesAreThePinnedEleven) {
+  EXPECT_EQ(figure_names(),
+            (std::vector<std::string>{"fig1", "fig2", "fig6", "fig10"}));
+  EXPECT_EQ(experiment_names(),
+            (std::vector<std::string>{"tab1", "tab2", "tab3", "tab5", "tab6",
+                                      "tab7", "tab8"}));
 }
 
 }  // namespace

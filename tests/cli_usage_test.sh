@@ -48,6 +48,8 @@ check "experiment no name"      "$BBLAB" experiment
 check "experiment bad name"     "$BBLAB" experiment tab99
 check "figure no name"          "$BBLAB" figure
 check "figure bad name"         "$BBLAB" figure fig99
+check "figure given a table"    "$BBLAB" figure tab1
+check "experiment given figure" "$BBLAB" experiment fig3
 check "ingest no file"          "$BBLAB" ingest
 check "pack no path"            "$BBLAB" pack
 check "cat no path"             "$BBLAB" cat

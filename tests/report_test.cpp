@@ -14,14 +14,6 @@ TEST(Report, Banner) {
   EXPECT_NE(os.str().find("== Figure 2"), std::string::npos);
 }
 
-TEST(Report, CompareShowsBothSides) {
-  std::ostringstream os;
-  print_compare(os, "median", "7.4 Mbps", "7.5 Mbps");
-  const auto s = os.str();
-  EXPECT_NE(s.find("paper:    7.4 Mbps"), std::string::npos);
-  EXPECT_NE(s.find("measured: 7.5 Mbps"), std::string::npos);
-}
-
 TEST(Report, SeriesListsEveryPoint) {
   BinSeries series;
   series.r = 0.91;

@@ -120,6 +120,65 @@ TEST_F(ServerTest, ExperimentMatchesDirectRender) {
   EXPECT_EQ(response.body, expected.str());
 }
 
+// fig3 and tab4 have no other product caller than the registry; the
+// daemon reaches them through the same lookup as the CLI.
+TEST_F(ServerTest, RegistryOnlyArtifactsMatchDirectRender) {
+  start_server();
+  Client client{socket()};
+  const auto ds = store::read_snapshot_file(snapshot_);
+  const auto fig3 = client.call(
+      Request{RequestKind::kFigure, "fig3", snapshot_.string()});
+  ASSERT_EQ(fig3.status, Status::kOk);
+  std::ostringstream expected_fig3;
+  ASSERT_TRUE(analysis::render_figure(expected_fig3, "fig3", ds));
+  EXPECT_EQ(fig3.body, expected_fig3.str());
+
+  const auto tab4 = client.call(
+      Request{RequestKind::kExperiment, "tab4", snapshot_.string()});
+  ASSERT_EQ(tab4.status, Status::kOk);
+  std::ostringstream expected_tab4;
+  ASSERT_TRUE(analysis::render_experiment(expected_tab4, "tab4", ds));
+  EXPECT_EQ(tab4.body, expected_tab4.str());
+}
+
+TEST_F(ServerTest, InfoListsEveryArtifact) {
+  start_server();
+  Client client{socket()};
+  const auto response = client.call(Request{RequestKind::kInfo, "", ""});
+  ASSERT_EQ(response.status, Status::kOk);
+  EXPECT_EQ(response.body.rfind(
+                "figures: fig1 fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10 "
+                "fig11 fig12\n"
+                "experiments: tab1 tab2 tab3 tab4 tab5 tab6 tab7 tab8\n",
+                0),
+            0u)
+      << response.body;
+}
+
+// Name validation runs before the snapshot is touched: an unknown or
+// wrong-kind name is not-found even against a file that would fail to
+// load, and the LRU sees no lookup at all.
+TEST_F(ServerTest, UnknownNameIsNotFoundBeforeAnySnapshotLoad) {
+  start_server();
+  const auto garbage = dir_ / "garbage.bbs";
+  std::ofstream{garbage} << "not a snapshot";
+  Client client{socket()};
+  const auto unknown = client.call(
+      Request{RequestKind::kFigure, "fig99", garbage.string()});
+  EXPECT_EQ(unknown.status, Status::kNotFound);
+  EXPECT_EQ(unknown.body, "unknown figure: fig99");
+  const auto wrong_kind = client.call(
+      Request{RequestKind::kFigure, "tab1", garbage.string()});
+  EXPECT_EQ(wrong_kind.status, Status::kNotFound);
+  EXPECT_EQ(wrong_kind.body, "unknown figure: tab1");
+  const auto table = client.call(
+      Request{RequestKind::kExperiment, "fig3", garbage.string()});
+  EXPECT_EQ(table.status, Status::kNotFound);
+  EXPECT_EQ(table.body, "unknown experiment: fig3");
+  const auto stats = server_->lru().stats();
+  EXPECT_EQ(stats.hits + stats.misses, 0u);
+}
+
 TEST_F(ServerTest, UnknownNamesAndPathsAreNotFound) {
   start_server();
   Client client{socket()};

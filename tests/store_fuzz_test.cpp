@@ -35,7 +35,9 @@ dataset::StudyDataset make_small() {
     dataset::UserRecord r;
     r.user_id = 10 + i;
     r.source = i == 2 ? dataset::Source::kFcc : dataset::Source::kDasu;
-    r.country_code = i == 1 ? "JP" : "US";
+    // A std::string, not the bare literal: GCC 12 raises a false
+    // -Wmaybe-uninitialized on that assignment in Release builds.
+    r.country_code = std::string{i == 1 ? "JP" : "US"};
     r.year = 2011 + static_cast<int>(i);
     r.capacity = Rate::from_mbps(4.0 * static_cast<double>(i + 1));
     r.usage.mean_down = Rate::from_kbps(300.0 + static_cast<double>(i));

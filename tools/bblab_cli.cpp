@@ -112,14 +112,29 @@ constexpr int kExitDegraded = 4;
 /// assert the crash actually fired.
 constexpr int kExitInjectedCrash = 64;
 
+/// "fig1|fig2|...": every registry name of `kind`.
+std::string artifact_names(analysis::ArtifactKind kind) {
+  std::string names;
+  for (const auto& a : analysis::artifacts()) {
+    if (a.kind != kind) continue;
+    if (!names.empty()) names += '|';
+    names += a.name;
+  }
+  return names;
+}
+
 int usage() {
   std::cerr
       << "usage: bblab <command> [args]\n"
          "  markets [CC...]              market summaries\n"
          "  generate [--out DIR]         synthesize a dataset to CSV\n"
          "  ingest <users.csv>           lenient CSV ingest with a QC report\n"
-         "  experiment <tab1|tab2|tab3|tab5|tab6|tab7|tab8>\n"
-         "  figure <fig1|fig2|fig6|fig10>\n"
+         "  experiment <"
+      << artifact_names(analysis::ArtifactKind::kTable)
+      << ">\n"
+         "  figure <"
+      << artifact_names(analysis::ArtifactKind::kFigure)
+      << ">\n"
          "  scorecard [--markdown]       run every paper-claim check\n"
          "  pack <out.bbs>               synthesize a dataset to a binary snapshot\n"
          "  cat <file.bbs>               inspect and verify a binary snapshot\n"
@@ -458,28 +473,16 @@ int cmd_ingest(const CliOptions& options) {
   return 0;
 }
 
-bool known_name(const std::vector<std::string>& names, const std::string& name) {
-  return std::find(names.begin(), names.end(), name) != names.end();
-}
-
-int cmd_experiment(const CliOptions& options) {
+/// `bblab figure NAME` / `bblab experiment NAME`: one registry row.
+int cmd_artifact(const CliOptions& options, analysis::ArtifactKind kind) {
   if (options.positional.empty()) return usage();
-  const std::string which = options.positional.front();
   // Validate the name before paying for dataset generation.
-  if (!known_name(analysis::experiment_names(), which)) return usage();
+  const analysis::Artifact* artifact =
+      analysis::find_artifact(options.positional.front(), kind);
+  if (artifact == nullptr) return usage();
   const auto result = make_dataset(options);
   const obs::ScopedPhase phase{"analysis"};
-  if (!analysis::render_experiment(std::cout, which, result.ds)) return usage();
-  return exit_code(result, 0);
-}
-
-int cmd_figure(const CliOptions& options) {
-  if (options.positional.empty()) return usage();
-  const std::string which = options.positional.front();
-  if (!known_name(analysis::figure_names(), which)) return usage();
-  const auto result = make_dataset(options);
-  const obs::ScopedPhase phase{"analysis"};
-  if (!analysis::render_figure(std::cout, which, result.ds)) return usage();
+  artifact->render(std::cout, result.ds);
   return exit_code(result, 0);
 }
 
@@ -749,8 +752,10 @@ int main(int argc, char** argv) {
     if (command == "markets") return cmd_markets(options);
     if (command == "generate") return cmd_generate(options);
     if (command == "ingest") return cmd_ingest(options);
-    if (command == "experiment") return cmd_experiment(options);
-    if (command == "figure") return cmd_figure(options);
+    if (command == "experiment") {
+      return cmd_artifact(options, analysis::ArtifactKind::kTable);
+    }
+    if (command == "figure") return cmd_artifact(options, analysis::ArtifactKind::kFigure);
     if (command == "pack") return cmd_pack(options);
     if (command == "cat") return cmd_cat(options);
     if (command == "cache") return cmd_cache(options);
