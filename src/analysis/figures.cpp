@@ -265,10 +265,10 @@ Fig8Result fig8_tier_utilization(const dataset::StudyDataset& ds,
         return stats::tier_of(r.capacity) == tier;
       });
       if (tier_recs.size() < 30) continue;  // the paper's minimum-population rule
-      c.tiers[stats::tier_label(tier)] =
-          stats::Ecdf{column(tier_recs, [](const UserRecord& r) {
-            return std::min(1.0, r.peak_utilization_no_bt());
-          })};
+      c.tiers.emplace_back(stats::tier_label(tier),
+                           stats::Ecdf{column(tier_recs, [](const UserRecord& r) {
+                             return std::min(1.0, r.peak_utilization_no_bt());
+                           })});
     }
     fig.push_back(std::move(c));
   }

@@ -8,6 +8,7 @@
 
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/common.h"
@@ -113,8 +114,9 @@ using Fig7Result = std::vector<Fig7Country>;
 // ---------------------------------------------------------------- Fig. 8
 struct Fig8Country {
   std::string code;
-  /// tier label -> utilization ECDF; only tiers with >= 30 users (paper rule).
-  std::map<std::string, stats::Ecdf> tiers;
+  /// (tier label, utilization ECDF) in stats::all_tiers() order, that is
+  /// by capacity; only tiers with >= 30 users (paper rule).
+  std::vector<std::pair<std::string, stats::Ecdf>> tiers;
 };
 using Fig8Result = std::vector<Fig8Country>;
 [[nodiscard]] Fig8Result fig8_tier_utilization(const dataset::StudyDataset& ds,

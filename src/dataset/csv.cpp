@@ -6,7 +6,6 @@
 #include <optional>
 #include <ostream>
 #include <set>
-#include <sstream>
 #include <utility>
 
 #include "core/error.h"
@@ -41,24 +40,67 @@ std::string fmt(double v) {
   return std::string{buf.data(), ptr};
 }
 
-double to_double(const std::string& s) {
-  try {
-    std::size_t pos = 0;
-    const double v = std::stod(s, &pos);
-    if (pos != s.size()) throw IoError{"csv: trailing characters in number: " + s};
-    return v;
-  } catch (const std::invalid_argument&) {
-    throw IoError{"csv: not a number: " + s};
-  } catch (const std::out_of_range&) {
-    throw IoError{"csv: number out of range: " + s};
-  }
-}
+// Field decoders for the reader. Each reads the whole token through
+// parse_number (no blanks, no '+', no hex) and throws IoError, which the
+// reader quarantines as bad-value, on anything the writer cannot write.
 
 std::uint64_t to_u64(const std::string& s) {
   const std::optional<std::uint64_t> v = parse_number<std::uint64_t>(s);
-  if (!v) throw IoError{"csv: not an integer: " + s};
+  if (!v) throw IoError{"csv: not an unsigned integer: " + s};
   return *v;
 }
+
+int to_int(const std::string& s) {
+  const std::optional<int> v = parse_number<int>(s);
+  if (!v) throw IoError{"csv: not an int: " + s};
+  return *v;
+}
+
+/// Any double, "nan" and "inf" included.
+double to_double(const std::string& s) {
+  const std::optional<double> v = parse_number<double>(s);
+  if (!v) throw IoError{"csv: not a number: " + s};
+  return *v;
+}
+
+double to_finite(const std::string& s) {
+  const double v = to_double(s);
+  if (!std::isfinite(v)) throw IoError{"csv: not a finite number: " + s};
+  return v;
+}
+
+/// A rate must stay finite after scaling to bits per second, or it would
+/// not write back to the same text.
+Rate finite_rate(Rate rate, const std::string& s) {
+  if (!std::isfinite(rate.bps())) throw IoError{"csv: rate out of range: " + s};
+  return rate;
+}
+Rate to_mbps(const std::string& s) { return finite_rate(Rate::from_mbps(to_double(s)), s); }
+Rate to_kbps(const std::string& s) { return finite_rate(Rate::from_kbps(to_double(s)), s); }
+
+/// A cap in GiB as whole bytes: non-negative and below 2^64.
+Bytes to_cap_bytes(const std::string& s) {
+  const double gib = to_double(s);
+  const double bytes = std::round(gib * static_cast<double>(kGiB));
+  if (!(gib >= 0.0) || !(bytes < 0x1p64)) throw IoError{"csv: cap out of range: " + s};
+  return static_cast<Bytes>(bytes);
+}
+
+/// The value among `values` whose writer label is `s`.
+template <typename Values, typename Label>
+auto from_label(const Values& values, Label label, const std::string& s) {
+  for (const auto v : values) {
+    if (label(v) == s) return v;
+  }
+  throw IoError{"csv: unknown label: " + s};
+}
+
+market::Region to_region(const std::string& s) {
+  if (s == market::region_label(market::Region::kOceania)) return market::Region::kOceania;
+  return from_label(market::table5_regions(), market::region_label, s);
+}
+
+const char* bool_label(bool b) { return b ? "1" : "0"; }
 
 }  // namespace
 
@@ -116,9 +158,9 @@ std::vector<std::string> split_records(const std::string& text) {
   return records;
 }
 
-/// Tokenize one record into fields. Strict error semantics: a quote
-/// opening mid-field throws InvalidArgument, an unterminated quoted
-/// field throws IoError.
+/// Tokenize one record into fields. A quote opening mid-field throws
+/// InvalidArgument, an unterminated quoted field throws IoError;
+/// parse_csv_lenient quarantines the record with that message.
 std::vector<std::string> parse_record(const std::string& record) {
   std::vector<std::string> row;
   std::string field;
@@ -167,14 +209,6 @@ std::string join_fields(const std::vector<std::string>& fields) {
 
 }  // namespace
 
-std::vector<std::vector<std::string>> parse_csv(const std::string& text) {
-  std::vector<std::vector<std::string>> rows;
-  for (const auto& record : split_records(text)) {
-    rows.push_back(parse_record(record));
-  }
-  return rows;
-}
-
 CsvParseResult parse_csv_lenient(const std::string& text) {
   CsvParseResult out;
   const auto records = split_records(text);
@@ -218,76 +252,51 @@ void write_user_records(std::ostream& out, const std::vector<UserRecord>& record
            fmt(r.usage.peak_down_no_bt.kbps()), fmt(r.usage.mean_up.kbps()),
            fmt(r.usage.peak_up.kbps()), std::to_string(r.usage.samples),
            std::to_string(r.usage.samples_no_bt), fmt(r.true_need_mbps),
-           behavior::archetype_label(r.archetype), r.bt_user ? "1" : "0"});
+           behavior::archetype_label(r.archetype), bool_label(r.bt_user)});
   }
 }
 
 namespace {
 
-/// Parse one already-tokenized data row (exactly kUserHeader.size()
-/// fields). Throws IoError on unparseable values.
+/// Decode one already-tokenized data row (exactly kUserHeader.size()
+/// fields). Throws IoError on the first field the writer cannot write.
 UserRecord parse_user_row(const std::vector<std::string>& f) {
-    UserRecord r;
-    r.user_id = to_u64(f[0]);
-    r.source = f[1] == "fcc" ? Source::kFcc : Source::kDasu;
-    r.country_code = f[2];
-    for (const auto region : market::table5_regions()) {
-      if (market::region_label(region) == f[3]) r.region = region;
-    }
-    if (f[3] == market::region_label(market::Region::kOceania)) {
-      r.region = market::Region::kOceania;
-    }
-    r.year = static_cast<int>(to_u64(f[4]));
-    r.capacity = Rate::from_mbps(to_double(f[5]));
-    r.upload_capacity = Rate::from_mbps(to_double(f[6]));
-    r.rtt_ms = to_double(f[7]);
-    r.loss = to_double(f[8]);
-    r.access_price = MoneyPpp::usd(to_double(f[9]));
-    r.upgrade_cost_per_mbps = to_double(f[10]);
-    r.plan_price = MoneyPpp::usd(to_double(f[11]));
-    r.plan_capacity = Rate::from_mbps(to_double(f[12]));
-    r.monthly_cap = static_cast<Bytes>(
-        std::llround(to_double(f[13]) * static_cast<double>(kGiB)));
-    r.gdp_per_capita_ppp = to_double(f[14]);
-    r.usage.mean_down = Rate::from_kbps(to_double(f[15]));
-    r.usage.peak_down = Rate::from_kbps(to_double(f[16]));
-    r.usage.mean_down_no_bt = Rate::from_kbps(to_double(f[17]));
-    r.usage.peak_down_no_bt = Rate::from_kbps(to_double(f[18]));
-    r.usage.mean_up = Rate::from_kbps(to_double(f[19]));
-    r.usage.peak_up = Rate::from_kbps(to_double(f[20]));
-    r.usage.samples = to_u64(f[21]);
-    r.usage.samples_no_bt = to_u64(f[22]);
-    r.true_need_mbps = to_double(f[23]);
-    for (const auto a : behavior::all_archetypes()) {
-      if (behavior::archetype_label(a) == f[24]) r.archetype = a;
-    }
-    r.bt_user = f[25] == "1";
-    return r;
+  UserRecord r;
+  r.user_id = to_u64(f[0]);
+  r.source = from_label(std::array{Source::kDasu, Source::kFcc}, source_label, f[1]);
+  r.country_code = f[2];
+  r.region = to_region(f[3]);
+  r.year = to_int(f[4]);
+  r.capacity = to_mbps(f[5]);
+  r.upload_capacity = to_mbps(f[6]);
+  r.rtt_ms = to_finite(f[7]);
+  r.loss = to_finite(f[8]);
+  r.access_price = MoneyPpp::usd(to_finite(f[9]));
+  r.upgrade_cost_per_mbps = to_double(f[10]);
+  r.plan_price = MoneyPpp::usd(to_finite(f[11]));
+  r.plan_capacity = to_mbps(f[12]);
+  r.monthly_cap = to_cap_bytes(f[13]);
+  r.gdp_per_capita_ppp = to_finite(f[14]);
+  r.usage.mean_down = to_kbps(f[15]);
+  r.usage.peak_down = to_kbps(f[16]);
+  r.usage.mean_down_no_bt = to_kbps(f[17]);
+  r.usage.peak_down_no_bt = to_kbps(f[18]);
+  r.usage.mean_up = to_kbps(f[19]);
+  r.usage.peak_up = to_kbps(f[20]);
+  r.usage.samples = to_u64(f[21]);
+  r.usage.samples_no_bt = to_u64(f[22]);
+  r.true_need_mbps = to_finite(f[23]);
+  r.archetype = from_label(behavior::all_archetypes(), behavior::archetype_label, f[24]);
+  r.bt_user = from_label(std::array{false, true}, bool_label, f[25]);
+  return r;
 }
 
 }  // namespace
 
-std::vector<UserRecord> read_user_records(const std::string& csv_text) {
-  const auto rows = parse_csv(csv_text);
-  require(!rows.empty(), "read_user_records: empty csv");
-  require(rows.front() == kUserHeader, "read_user_records: unexpected header");
-
-  std::vector<UserRecord> records;
-  records.reserve(rows.size() - 1);
-  for (std::size_t i = 1; i < rows.size(); ++i) {
-    const auto& f = rows[i];
-    if (f.size() != kUserHeader.size()) {
-      throw IoError{"read_user_records: wrong field count in row " + std::to_string(i)};
-    }
-    records.push_back(parse_user_row(f));
-  }
-  return records;
-}
-
 UserReadResult read_user_records_lenient(const std::string& csv_text) {
   auto parsed = parse_csv_lenient(csv_text);
-  require(!parsed.rows.empty(), "read_user_records: empty csv");
-  require(parsed.rows.front() == kUserHeader, "read_user_records: unexpected header");
+  require(!parsed.rows.empty(), "user records csv: empty file");
+  require(parsed.rows.front() == kUserHeader, "user records csv: unexpected header");
 
   UserReadResult out;
   out.quarantine.rows = std::move(parsed.quarantine.rows);
@@ -331,39 +340,8 @@ void write_plans(std::ostream& out, const std::vector<market::ServicePlan>& plan
            p.monthly_cap ? fmt(static_cast<double>(*p.monthly_cap) /
                                static_cast<double>(kGiB))
                          : "",
-           market::tech_label(p.tech), p.dedicated ? "1" : "0"});
+           market::tech_label(p.tech), bool_label(p.dedicated)});
   }
-}
-
-std::vector<market::ServicePlan> read_plans(const std::string& csv_text) {
-  const auto rows = parse_csv(csv_text);
-  require(!rows.empty(), "read_plans: empty csv");
-  require(rows.front() == kPlanHeader, "read_plans: unexpected header");
-  std::vector<market::ServicePlan> plans;
-  plans.reserve(rows.size() - 1);
-  for (std::size_t i = 1; i < rows.size(); ++i) {
-    const auto& f = rows[i];
-    if (f.size() != kPlanHeader.size()) {
-      throw IoError{"read_plans: wrong field count in row " + std::to_string(i)};
-    }
-    market::ServicePlan p;
-    p.isp = f[0];
-    p.country_code = f[1];
-    p.download = Rate::from_mbps(to_double(f[2]));
-    p.upload = Rate::from_mbps(to_double(f[3]));
-    p.monthly_price = MoneyPpp::usd(to_double(f[4]));
-    if (!f[5].empty()) {
-      p.monthly_cap = static_cast<Bytes>(std::llround(to_double(f[5]))) * kGiB;
-    }
-    for (const auto tech :
-         {market::AccessTech::kDsl, market::AccessTech::kCable, market::AccessTech::kFiber,
-          market::AccessTech::kFixedWireless, market::AccessTech::kSatellite}) {
-      if (market::tech_label(tech) == f[6]) p.tech = tech;
-    }
-    p.dedicated = f[7] == "1";
-    plans.push_back(std::move(p));
-  }
-  return plans;
 }
 
 namespace {
@@ -387,20 +365,6 @@ void append_summary(std::vector<std::string>& row,
   row.push_back(std::to_string(s.samples_no_bt));
 }
 
-measurement::UsageSummary parse_summary(const std::vector<std::string>& f,
-                                        std::size_t at) {
-  measurement::UsageSummary s;
-  s.mean_down = Rate::from_kbps(to_double(f[at]));
-  s.peak_down = Rate::from_kbps(to_double(f[at + 1]));
-  s.mean_down_no_bt = Rate::from_kbps(to_double(f[at + 2]));
-  s.peak_down_no_bt = Rate::from_kbps(to_double(f[at + 3]));
-  s.mean_up = Rate::from_kbps(to_double(f[at + 4]));
-  s.peak_up = Rate::from_kbps(to_double(f[at + 5]));
-  s.samples = to_u64(f[at + 6]);
-  s.samples_no_bt = to_u64(f[at + 7]);
-  return s;
-}
-
 }  // namespace
 
 void write_upgrades(std::ostream& out, const std::vector<UpgradeObservation>& upgrades) {
@@ -415,73 +379,6 @@ void write_upgrades(std::ostream& out, const std::vector<UpgradeObservation>& up
     append_summary(row, u.after);
     w.row(row);
   }
-}
-
-namespace {
-
-UpgradeObservation parse_upgrade_row(const std::vector<std::string>& f) {
-  UpgradeObservation u;
-  u.user_id = to_u64(f[0]);
-  u.country_code = f[1];
-  u.year = static_cast<int>(to_u64(f[2]));
-  u.old_capacity = Rate::from_mbps(to_double(f[3]));
-  u.new_capacity = Rate::from_mbps(to_double(f[4]));
-  u.old_price = MoneyPpp::usd(to_double(f[5]));
-  u.new_price = MoneyPpp::usd(to_double(f[6]));
-  u.before = parse_summary(f, 7);
-  u.after = parse_summary(f, 15);
-  return u;
-}
-
-}  // namespace
-
-std::vector<UpgradeObservation> read_upgrades(const std::string& csv_text) {
-  const auto rows = parse_csv(csv_text);
-  require(!rows.empty(), "read_upgrades: empty csv");
-  require(rows.front() == kUpgradeHeader, "read_upgrades: unexpected header");
-  std::vector<UpgradeObservation> out;
-  out.reserve(rows.size() - 1);
-  for (std::size_t i = 1; i < rows.size(); ++i) {
-    const auto& f = rows[i];
-    if (f.size() != kUpgradeHeader.size()) {
-      throw IoError{"read_upgrades: wrong field count in row " + std::to_string(i)};
-    }
-    out.push_back(parse_upgrade_row(f));
-  }
-  return out;
-}
-
-UpgradeReadResult read_upgrades_lenient(const std::string& csv_text) {
-  auto parsed = parse_csv_lenient(csv_text);
-  require(!parsed.rows.empty(), "read_upgrades: empty csv");
-  require(parsed.rows.front() == kUpgradeHeader, "read_upgrades: unexpected header");
-
-  UpgradeReadResult out;
-  out.quarantine.rows = std::move(parsed.quarantine.rows);
-  std::set<std::pair<std::uint64_t, int>> seen;
-  for (std::size_t i = 1; i < parsed.rows.size(); ++i) {
-    const auto& f = parsed.rows[i];
-    const std::size_t index = parsed.row_indices[i];
-    if (f.size() != kUpgradeHeader.size()) {
-      out.quarantine.add(index, QuarantineReason::kWrongFieldCount, join_fields(f),
-                         "expected " + std::to_string(kUpgradeHeader.size()) +
-                             " fields, got " + std::to_string(f.size()));
-      continue;
-    }
-    try {
-      UpgradeObservation u = parse_upgrade_row(f);
-      if (!seen.insert({u.user_id, u.year}).second) {
-        out.quarantine.add(index, QuarantineReason::kDuplicateKey, join_fields(f),
-                           "duplicate user_id/year " + f[0] + "/" + f[2]);
-        continue;
-      }
-      out.records.push_back(std::move(u));
-    } catch (const std::exception& e) {
-      out.quarantine.add(index, QuarantineReason::kBadValue, join_fields(f), e.what());
-    }
-  }
-  out.quarantine.admitted = out.records.size();
-  return out;
 }
 
 }  // namespace bblab::dataset

@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <sstream>
 #include <string>
 
 #include "core/error.h"
 #include "core/hash.h"
+#include "core/parse.h"
 
 namespace bblab::faults {
 
@@ -17,17 +19,15 @@ namespace {
 constexpr std::uint64_t kSeriesSalt = 0x5e21e5f4a17u;
 constexpr std::uint64_t kCsvSalt = 0xc5bf0c0de17u;
 
-double parse_value(const std::string& key, const std::string& text) {
-  try {
-    std::size_t used = 0;
-    const double v = std::stod(text, &used);
-    if (used != text.size() || !std::isfinite(v)) {
-      throw std::invalid_argument{"trailing garbage"};
-    }
-    return v;
-  } catch (const std::exception&) {
+/// `text` as a T (parse_number: the whole token, no blanks, no hex); a
+/// floating-point value must also be finite.
+template <typename T = double>
+T parse_value(const std::string& key, const std::string& text) {
+  const std::optional<T> v = parse_number<T>(text);
+  if (!v || !std::isfinite(static_cast<double>(*v))) {
     throw InvalidArgument{"faults: bad value '" + text + "' for key '" + key + "'"};
   }
+  return *v;
 }
 
 }  // namespace
@@ -107,7 +107,7 @@ FaultPlan FaultPlan::parse(const std::string& spec, FaultPlan base) {
       const std::string key = pair.substr(0, eq);
       const std::string value = pair.substr(eq + 1);
       if (key == "seed") {
-        plan.seed = static_cast<std::uint64_t>(parse_value(key, value));
+        plan.seed = parse_value<std::uint64_t>(key, value);
       } else if (key == "churn") {
         plan.churn_probability = parse_value(key, value);
       } else if (key == "outage_h") {

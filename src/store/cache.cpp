@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <system_error>
 #include <utility>
 
 #include "core/error.h"
 #include "core/logging.h"
+#include "core/parse.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "store/bbs.h"
@@ -35,11 +37,10 @@ ArtifactCache::ArtifactCache(std::filesystem::path root) : root_{std::move(root)
 std::size_t ArtifactCache::sweep_stale_tmp() const {
   double ttl_s = 3600.0;
   if (const auto v = env("BBLAB_CACHE_TMP_TTL_S")) {
-    try {
-      ttl_s = std::stod(*v);
-    } catch (const std::exception&) {
-      // Unparseable override: keep the default rather than failing open.
-    }
+    // Anything but a finite, non-negative whole token keeps the default:
+    // a TTL read wrongly would delete a live writer's file.
+    const std::optional<double> parsed = parse_number<double>(*v);
+    if (parsed && std::isfinite(*parsed) && *parsed >= 0.0) ttl_s = *parsed;
   }
   std::size_t removed = 0;
   const std::filesystem::path objects = root_ / "objects";

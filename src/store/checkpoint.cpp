@@ -8,12 +8,14 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "core/error.h"
 #include "core/hash.h"
 #include "core/logging.h"
+#include "core/parse.h"
 #include "core/rng.h"
 #include "core/thread_pool.h"
 #include "core/watchdog.h"
@@ -121,14 +123,9 @@ struct Manifest {
     if (!std::getline(in, line) || line.rfind("shards ", 0) != 0) {
       return std::nullopt;
     }
-    try {
-      std::size_t used = 0;
-      const std::string count = line.substr(7);
-      m.shards = std::stoull(count, &used);
-      if (used != count.size()) return std::nullopt;
-    } catch (const std::exception&) {
-      return std::nullopt;
-    }
+    const auto shards = parse_number<std::size_t>(std::string_view{line}.substr(7));
+    if (!shards) return std::nullopt;
+    m.shards = *shards;
 
     while (std::getline(in, line)) {
       if (line.empty()) continue;

@@ -52,8 +52,8 @@ grep -q "cache hit" "$WORK/err_c" || fail "third run missed the cache"
 planted="$CACHE/objects/de/adbeef.p99999.0.tmp"
 mkdir -p "$(dirname "$planted")"
 echo "orphaned by a killed writer" >"$planted"
-# Negative TTL makes every tmp immediately stale; any cache open sweeps.
-BBLAB_CACHE_TMP_TTL_S=-1 "$BBLAB" cache ls --cache-dir "$CACHE" >/dev/null 2>&1 \
+# A zero TTL makes every tmp immediately stale; any cache open sweeps.
+BBLAB_CACHE_TMP_TTL_S=0 "$BBLAB" cache ls --cache-dir "$CACHE" >/dev/null 2>&1 \
   || fail "cache ls exited non-zero"
 [ ! -e "$planted" ] || fail "stale tmp survived the sweep"
 

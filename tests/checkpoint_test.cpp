@@ -4,12 +4,15 @@
 
 #include <cstddef>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 
 #include "core/error.h"
 #include "core/thread_pool.h"
 #include "core/watchdog.h"
 #include "faults/fs_faults.h"
+#include "obs/metrics.h"
 #include "store/bbs.h"
 
 namespace bblab::store {
@@ -101,6 +104,37 @@ TEST(RunCheckpointed, CleanRunMatchesGenerateByteForByte) {
   const auto resumed = run_checkpointed(tiny_world(), tiny_config(), opts);
   EXPECT_EQ(resumed.shards_reused, resumed.shards_total);
   EXPECT_EQ(content_hash(resumed.dataset), content_hash(reference_dataset()));
+}
+
+TEST(RunCheckpointed, ManifestShardCountMustBeOneWholeToken) {
+  // A MANIFEST whose shard count is not one whole decimal token is
+  // unreadable: resume falls back to salvaging every segment (and
+  // rewrites the manifest) instead of trusting the commit log.
+  static obs::Counter& salvaged =
+      obs::Registry::instance().counter("checkpoint.segments_salvaged");
+  for (const char* count_prefix : {" ", "+", "0x"}) {
+    CheckpointOptions opts;
+    opts.dir = fresh_dir("ckpt_manifest_count");
+    const auto run = run_checkpointed(tiny_world(), tiny_config(), opts);
+    const auto manifest = opts.dir / "MANIFEST";
+    std::string text;
+    {
+      std::ifstream in{manifest};
+      text.assign(std::istreambuf_iterator<char>{in}, std::istreambuf_iterator<char>{});
+    }
+    const std::string line = "\nshards " + std::to_string(run.shards_total) + "\n";
+    const std::size_t at = text.find(line);
+    ASSERT_NE(at, std::string::npos);
+    text.insert(at + 8, count_prefix);
+    std::ofstream{manifest, std::ios::trunc} << text;
+
+    opts.resume = true;
+    const std::uint64_t before = salvaged.value();
+    const auto resumed = run_checkpointed(tiny_world(), tiny_config(), opts);
+    EXPECT_EQ(salvaged.value() - before, run.shards_total) << "prefix '" << count_prefix << "'";
+    EXPECT_EQ(resumed.shards_reused, resumed.shards_total);
+    EXPECT_EQ(content_hash(resumed.dataset), content_hash(reference_dataset()));
+  }
 }
 
 TEST(RunCheckpointed, FreshRunIgnoresForeignCheckpoint) {

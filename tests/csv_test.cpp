@@ -13,35 +13,42 @@
 namespace bblab::dataset {
 namespace {
 
+/// The tokenizer's rows for text that must tokenize cleanly.
+std::vector<std::vector<std::string>> parse_clean(const std::string& text) {
+  CsvParseResult result = parse_csv_lenient(text);
+  EXPECT_TRUE(result.quarantine.empty()) << result.quarantine.summary();
+  return std::move(result.rows);
+}
+
 TEST(ParseCsv, SimpleRows) {
-  const auto rows = parse_csv("a,b,c\n1,2,3\n");
+  const auto rows = parse_clean("a,b,c\n1,2,3\n");
   ASSERT_EQ(rows.size(), 2u);
   EXPECT_EQ(rows[0], (std::vector<std::string>{"a", "b", "c"}));
   EXPECT_EQ(rows[1], (std::vector<std::string>{"1", "2", "3"}));
 }
 
 TEST(ParseCsv, QuotedFieldsWithCommasAndQuotes) {
-  const auto rows = parse_csv("\"hello, world\",\"say \"\"hi\"\"\"\n");
+  const auto rows = parse_clean("\"hello, world\",\"say \"\"hi\"\"\"\n");
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_EQ(rows[0][0], "hello, world");
   EXPECT_EQ(rows[0][1], "say \"hi\"");
 }
 
 TEST(ParseCsv, EmbeddedNewlineInQuotes) {
-  const auto rows = parse_csv("\"line1\nline2\",x\n");
+  const auto rows = parse_clean("\"line1\nline2\",x\n");
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_EQ(rows[0][0], "line1\nline2");
 }
 
 TEST(ParseCsv, EmptyFieldsAndCrlf) {
-  const auto rows = parse_csv("a,,c\r\n,,\r\n");
+  const auto rows = parse_clean("a,,c\r\n,,\r\n");
   ASSERT_EQ(rows.size(), 2u);
   EXPECT_EQ(rows[0], (std::vector<std::string>{"a", "", "c"}));
   EXPECT_EQ(rows[1], (std::vector<std::string>{"", "", ""}));
 }
 
 TEST(ParseCsv, MissingTrailingNewline) {
-  const auto rows = parse_csv("a,b");
+  const auto rows = parse_clean("a,b");
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_EQ(rows[0], (std::vector<std::string>{"a", "b"}));
 }
@@ -62,16 +69,26 @@ TEST(ParseCsv, ToleratesRealWorldFileShapes) {
       {"bom + crlf + no trailing newline", "\xEF\xBB\xBF" "a,b\r\n1,2"},
   };
   for (const auto& c : cases) {
-    const auto rows = parse_csv(c.text);
+    const auto rows = parse_clean(c.text);
     ASSERT_EQ(rows.size(), 2u) << c.name;
     EXPECT_EQ(rows[0], (std::vector<std::string>{"a", "b"})) << c.name;
     EXPECT_EQ(rows[1], (std::vector<std::string>{"1", "2"})) << c.name;
   }
 }
 
-TEST(ParseCsv, MalformedInputThrows) {
-  EXPECT_THROW(parse_csv("\"unterminated"), IoError);
-  EXPECT_THROW(parse_csv("ab\"cd\n"), InvalidArgument);
+TEST(ParseCsv, MalformedRecordsAreQuarantined) {
+  const auto unterminated = parse_csv_lenient("\"unterminated");
+  EXPECT_TRUE(unterminated.rows.empty());
+  ASSERT_EQ(unterminated.quarantine.quarantined(), 1u);
+  EXPECT_EQ(unterminated.quarantine.rows[0].reason, QuarantineReason::kMalformedRow);
+  EXPECT_NE(unterminated.quarantine.rows[0].detail.find("unterminated quoted field"),
+            std::string::npos);
+
+  const auto stray = parse_csv_lenient("ab\"cd\n");
+  EXPECT_TRUE(stray.rows.empty());
+  ASSERT_EQ(stray.quarantine.quarantined(), 1u);
+  EXPECT_NE(stray.quarantine.rows[0].detail.find("quote inside unquoted field"),
+            std::string::npos);
 }
 
 TEST(CsvWriter, QuotesOnlyWhenNeeded) {
@@ -86,7 +103,7 @@ TEST(CsvRoundTrip, ArbitraryContent) {
   CsvWriter w{os};
   const std::vector<std::string> original{"a,b", "c\"d", "e\nf", "", "plain"};
   w.row(original);
-  const auto rows = parse_csv(os.str());
+  const auto rows = parse_clean(os.str());
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_EQ(rows[0], original);
 }
@@ -121,10 +138,21 @@ UserRecord sample_record() {
   return r;
 }
 
-TEST(UserRecordsCsv, RoundTrips) {
+std::string written(const std::vector<UserRecord>& records) {
   std::ostringstream os;
-  write_user_records(os, {sample_record()});
-  const auto back = read_user_records(os.str());
+  write_user_records(os, records);
+  return os.str();
+}
+
+/// Records read from text that must quarantine nothing.
+std::vector<UserRecord> read_clean(const std::string& text) {
+  UserReadResult result = read_user_records_lenient(text);
+  EXPECT_TRUE(result.quarantine.empty()) << result.quarantine.summary();
+  return std::move(result.records);
+}
+
+TEST(UserRecordsCsv, RoundTrips) {
+  const auto back = read_clean(written({sample_record()}));
   ASSERT_EQ(back.size(), 1u);
   const auto& r = back.front();
   EXPECT_EQ(r.user_id, 42u);
@@ -141,25 +169,124 @@ TEST(UserRecordsCsv, RoundTrips) {
   EXPECT_TRUE(r.bt_user);
 }
 
+TEST(UserRecordsCsv, EveryWriterLabelReadsBack) {
+  std::vector<UserRecord> records;
+  const auto add = [&](UserRecord r) {
+    r.user_id = records.size();
+    records.push_back(r);
+  };
+  for (const auto region : market::table5_regions()) {
+    UserRecord r = sample_record();
+    r.region = region;
+    add(r);
+  }
+  UserRecord oceania = sample_record();
+  oceania.region = market::Region::kOceania;
+  add(oceania);
+  for (const auto archetype : behavior::all_archetypes()) {
+    UserRecord r = sample_record();
+    r.archetype = archetype;
+    add(r);
+  }
+  UserRecord fcc = sample_record();
+  fcc.source = Source::kFcc;
+  fcc.bt_user = false;
+  add(fcc);
+
+  const auto back = read_clean(written(records));
+  ASSERT_EQ(back.size(), records.size());
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    EXPECT_EQ(back[i].source, records[i].source) << i;
+    EXPECT_EQ(back[i].region, records[i].region) << i;
+    EXPECT_EQ(back[i].archetype, records[i].archetype) << i;
+    EXPECT_EQ(back[i].bt_user, records[i].bt_user) << i;
+  }
+}
+
+/// sample_record()'s CSV with one field of its data row replaced.
+std::string with_field(const std::string& column, const std::string& value) {
+  const std::string csv = written({sample_record()});
+  const std::size_t header_end = csv.find('\n');
+  std::vector<std::string> header;
+  std::vector<std::string> row;
+  std::istringstream header_in{csv.substr(0, header_end)};
+  std::istringstream row_in{csv.substr(header_end + 1, csv.size() - header_end - 2)};
+  for (std::string f; std::getline(header_in, f, ',');) header.push_back(f);
+  for (std::string f; std::getline(row_in, f, ',');) row.push_back(f);
+  std::string out = csv.substr(0, header_end + 1);
+  bool found = false;
+  for (std::size_t i = 0; i < row.size(); ++i) {
+    if (i > 0) out += ',';
+    found = found || header[i] == column;
+    out += header[i] == column ? value : row[i];
+  }
+  EXPECT_TRUE(found) << column;
+  return out + '\n';
+}
+
+TEST(UserRecordsCsv, QuarantinesEveryValueTheWriterCannotWrite) {
+  struct Case {
+    const char* column;
+    const char* value;
+  };
+  const std::vector<Case> cases{
+      {"region", "Atlantis"},        {"region", "europe"},
+      {"archetype", "couch-potato"}, {"source", "mlab"},
+      {"bt_user", "yes"},            {"bt_user", ""},
+      {"capacity_mbps", " 0.5"},     {"capacity_mbps", "0.5 "},
+      {"capacity_mbps", "+0.5"},     {"capacity_mbps", "-inf"},
+      {"capacity_mbps", "1e308"},    {"rtt_ms", "0x1p6"},
+      {"rtt_ms", "nan"},             {"loss", ""},
+      {"cap_gib", "nan"},            {"cap_gib", "-3"},
+      {"cap_gib", "inf"},            {"cap_gib", "1.8e10"},
+      {"year", "4294969307"},        {"year", "2012.0"},
+      {"user_id", "-1"},             {"samples", "1e3"},
+      {"peak_down_kbps", "1e306"},   {"need_mbps", "inf"},
+  };
+  for (const auto& c : cases) {
+    const auto result = read_user_records_lenient(with_field(c.column, c.value));
+    EXPECT_TRUE(result.records.empty()) << c.column << "=" << c.value;
+    ASSERT_EQ(result.quarantine.quarantined(), 1u) << c.column << "=" << c.value;
+    EXPECT_EQ(result.quarantine.rows[0].reason, QuarantineReason::kBadValue)
+        << c.column << "=" << c.value;
+  }
+}
+
+TEST(UserRecordsCsv, AcceptsTheValuesTheWriterWrites) {
+  // Each of these is what write_user_records prints for some record: a
+  // non-finite upgrade_cost, a zero (unmetered) or fractional cap,
+  // negative zero, any int year.
+  const std::vector<std::pair<const char*, const char*>> cases{
+      {"upgrade_cost", "nan"}, {"upgrade_cost", "-inf"}, {"cap_gib", "0"},
+      {"cap_gib", "0.5"},      {"rtt_ms", "-0"},         {"year", "1969"},
+  };
+  for (const auto& [column, value] : cases) {
+    const auto result = read_user_records_lenient(with_field(column, value));
+    EXPECT_EQ(result.records.size(), 1u) << column << "=" << value;
+    EXPECT_TRUE(result.quarantine.empty()) << column << "=" << value;
+  }
+  const auto half_gib = read_clean(with_field("cap_gib", "0.5"));
+  ASSERT_EQ(half_gib.size(), 1u);
+  EXPECT_EQ(half_gib[0].monthly_cap, kGiB / 2);
+}
+
 TEST(UserRecordsCsv, ReadsCrlfWithBom) {
-  std::ostringstream os;
-  write_user_records(os, {sample_record()});
   std::string crlf;
-  for (const char ch : os.str()) {
+  for (const char ch : written({sample_record()})) {
     if (ch == '\n') crlf += '\r';
     crlf += ch;
   }
-  const auto back = read_user_records("\xEF\xBB\xBF" + crlf);
+  const auto back = read_clean("\xEF\xBB\xBF" + crlf);
   ASSERT_EQ(back.size(), 1u);
   EXPECT_EQ(back[0].user_id, 42u);
 }
 
 TEST(UserRecordsCsv, RejectsWrongHeader) {
-  EXPECT_THROW(read_user_records("foo,bar\n1,2\n"), InvalidArgument);
-  EXPECT_THROW(read_user_records(""), InvalidArgument);
+  EXPECT_THROW((void)read_user_records_lenient("foo,bar\n1,2\n"), InvalidArgument);
+  EXPECT_THROW((void)read_user_records_lenient(""), InvalidArgument);
 }
 
-TEST(PlansCsv, RoundTrips) {
+TEST(PlansCsv, WritesQuotedIspAndCapInGib) {
   market::ServicePlan plan;
   plan.isp = "Acme Fiber, Inc.";
   plan.country_code = "JP";
@@ -168,20 +295,30 @@ TEST(PlansCsv, RoundTrips) {
   plan.monthly_price = MoneyPpp::usd(40.0);
   plan.monthly_cap = 250 * kGiB;
   plan.tech = market::AccessTech::kFiber;
-  plan.dedicated = false;
+  plan.dedicated = true;
 
   std::ostringstream os;
   write_plans(os, {plan});
-  const auto back = read_plans(os.str());
-  ASSERT_EQ(back.size(), 1u);
-  EXPECT_EQ(back[0].isp, "Acme Fiber, Inc.");
-  EXPECT_NEAR(back[0].download.mbps(), 100, 1e-9);
-  ASSERT_TRUE(back[0].monthly_cap.has_value());
-  EXPECT_EQ(*back[0].monthly_cap, 250 * kGiB);
-  EXPECT_EQ(back[0].tech, market::AccessTech::kFiber);
+  EXPECT_EQ(os.str(),
+            "isp,country,down_mbps,up_mbps,price,cap_gib,tech,dedicated\n"
+            "\"Acme Fiber, Inc.\",JP,100,40,40,250,fiber,1\n");
 }
 
-TEST(UpgradesCsv, RoundTrips) {
+TEST(PlansCsv, UnmeteredCapStaysEmpty) {
+  market::ServicePlan plan;
+  plan.isp = "X";
+  plan.country_code = "US";
+  plan.download = Rate::from_mbps(10);
+  plan.upload = Rate::from_mbps(1);
+  plan.monthly_price = MoneyPpp::usd(30.0);
+
+  std::ostringstream os;
+  write_plans(os, {plan});
+  const std::string text = os.str();
+  EXPECT_EQ(text.substr(text.find('\n') + 1), "X,US,10,1,30,,DSL,0\n");
+}
+
+TEST(UpgradesCsv, WritesBeforeThenAfterSummaries) {
   UpgradeObservation u;
   u.user_id = 9;
   u.country_code = "JP";
@@ -195,25 +332,22 @@ TEST(UpgradesCsv, RoundTrips) {
   u.before.samples = 1000;
   u.before.samples_no_bt = 900;
   u.after.mean_down = Rate::from_kbps(260);
-  u.after.peak_down = Rate::from_kbps(2400);
+  u.after.peak_down = Rate::from_kbps(1.0 / 3.0);
   u.after.samples = 1100;
   u.after.samples_no_bt = 1000;
 
   std::ostringstream os;
   write_upgrades(os, {u});
-  const auto back = read_upgrades(os.str());
-  ASSERT_EQ(back.size(), 1u);
-  EXPECT_EQ(back[0].user_id, 9u);
-  EXPECT_EQ(back[0].country_code, "JP");
-  EXPECT_TRUE(back[0].is_upgrade());
-  EXPECT_NEAR(back[0].old_capacity.mbps(), 8.0, 1e-9);
-  EXPECT_NEAR(back[0].before.peak_down.kbps(), 900.0, 1e-9);
-  EXPECT_NEAR(back[0].after.peak_down.kbps(), 2400.0, 1e-9);
-  EXPECT_EQ(back[0].after.samples_no_bt, 1000u);
-}
-
-TEST(UpgradesCsv, RejectsWrongHeader) {
-  EXPECT_THROW(read_upgrades("a,b\n"), InvalidArgument);
+  const std::string text = os.str();
+  EXPECT_EQ(text.substr(0, text.find('\n')),
+            "user_id,country,year,old_mbps,new_mbps,old_price,new_price,"
+            "b_mean_kbps,b_peak_kbps,b_mean_nobt_kbps,b_peak_nobt_kbps,"
+            "b_mean_up_kbps,b_peak_up_kbps,b_samples,b_samples_nobt,"
+            "a_mean_kbps,a_peak_kbps,a_mean_nobt_kbps,a_peak_nobt_kbps,"
+            "a_mean_up_kbps,a_peak_up_kbps,a_samples,a_samples_nobt");
+  EXPECT_EQ(text.substr(text.find('\n') + 1),
+            "9,JP,2012,8,16,30,38,120,900,0,0,0,0,1000,900,"
+            "260,0.3333333333333333,0,0,0,0,1100,1000\n");
 }
 
 bool bits_equal(double a, double b) {
@@ -235,9 +369,7 @@ TEST(UserRecordsCsv, DoublesRoundTripBitExactly) {
   r.gdp_per_capita_ppp = 49797.123456789017;
   r.true_need_mbps = std::nextafter(12.0, 13.0);
 
-  std::ostringstream os;
-  write_user_records(os, {r});
-  const auto back = read_user_records(os.str());
+  const auto back = read_clean(written({r}));
   ASSERT_EQ(back.size(), 1u);
   EXPECT_TRUE(bits_equal(back[0].capacity.bps(), r.capacity.bps()));
   EXPECT_TRUE(bits_equal(back[0].upload_capacity.bps(), r.upload_capacity.bps()));
@@ -261,32 +393,8 @@ TEST(UserRecordsCsv, WriteReadWriteIsAFixedPoint) {
   b.gdp_per_capita_ppp = 1.0 / 7.0;
   b.upgrade_cost_per_mbps = std::numeric_limits<double>::quiet_NaN();
 
-  std::ostringstream first;
-  write_user_records(first, {a, b});
-  std::ostringstream second;
-  write_user_records(second, read_user_records(first.str()));
-  EXPECT_EQ(first.str(), second.str());
-}
-
-TEST(UpgradesCsv, WriteReadWriteIsAFixedPoint) {
-  UpgradeObservation u;
-  u.user_id = 9;
-  u.country_code = "JP";
-  u.year = 2012;
-  u.old_capacity = Rate::from_bps(8.0e6 / 3.0);
-  u.new_capacity = Rate::from_bps(std::nextafter(16e6, 17e6));
-  u.old_price = MoneyPpp::usd(29.990000000000002);
-  u.new_price = MoneyPpp::usd(38);
-  u.before.mean_down = Rate::from_kbps(0.1 + 0.2);
-  u.before.samples = 1000;
-  u.after.peak_down = Rate::from_kbps(1.0 / 3.0);
-  u.after.samples = 1100;
-
-  std::ostringstream first;
-  write_upgrades(first, {u});
-  std::ostringstream second;
-  write_upgrades(second, read_upgrades(first.str()));
-  EXPECT_EQ(first.str(), second.str());
+  const std::string first = written({a, b});
+  EXPECT_EQ(written(read_clean(first)), first);
 }
 
 TEST(UserRecordsCsv, AdversarialStringsSurviveQuoting) {
@@ -309,37 +417,12 @@ TEST(UserRecordsCsv, AdversarialStringsSurviveQuoting) {
     records.push_back(r);
   }
 
-  std::ostringstream os;
-  write_user_records(os, records);
-  const auto back = read_user_records(os.str());
+  const auto back = read_clean(written(records));
   ASSERT_EQ(back.size(), nasty.size());
   for (std::size_t i = 0; i < nasty.size(); ++i) {
     EXPECT_EQ(back[i].country_code, nasty[i]) << "field " << i;
     EXPECT_EQ(back[i].user_id, i);
   }
-
-  // And the strict reader agrees with the lenient one on this input.
-  const auto lenient = read_user_records_lenient(os.str());
-  ASSERT_EQ(lenient.records.size(), nasty.size());
-  EXPECT_TRUE(lenient.quarantine.empty());
-  for (std::size_t i = 0; i < nasty.size(); ++i) {
-    EXPECT_EQ(lenient.records[i].country_code, nasty[i]);
-  }
-}
-
-TEST(PlansCsv, UnmeteredCapStaysEmpty) {
-  market::ServicePlan plan;
-  plan.isp = "X";
-  plan.country_code = "US";
-  plan.download = Rate::from_mbps(10);
-  plan.upload = Rate::from_mbps(1);
-  plan.monthly_price = MoneyPpp::usd(30.0);
-
-  std::ostringstream os;
-  write_plans(os, {plan});
-  const auto back = read_plans(os.str());
-  ASSERT_EQ(back.size(), 1u);
-  EXPECT_FALSE(back[0].monthly_cap.has_value());
 }
 
 }  // namespace

@@ -60,6 +60,18 @@ TEST(FaultPlan, ParseRejectsGarbage) {
   EXPECT_THROW((void)FaultPlan::parse("churn=0.1x"), InvalidArgument);
 }
 
+TEST(FaultPlan, ParseRejectsHexSignsAndNonFiniteValues) {
+  // Values go through parse_number: the whole token, no '+', no hex; a
+  // probability must be finite and the seed a whole unsigned number.
+  for (const char* spec : {"churn=0x1p-2", "churn=+0.5", "churn=nan", "churn=inf",
+                           "churn=.5.", "seed=1.5", "seed=-1", "seed=1e3"}) {
+    EXPECT_THROW((void)FaultPlan::parse(spec), InvalidArgument) << spec;
+  }
+  EXPECT_EQ(FaultPlan::parse("seed=18446744073709551615").seed,
+            18446744073709551615ull);
+  EXPECT_DOUBLE_EQ(FaultPlan::parse("churn=.25").churn_probability, 0.25);
+}
+
 TEST(Materialize, DeterministicPerStream) {
   auto plan = FaultPlan::parse("churn=0.5,blackout=0.5,reset=0.5,wrap=0.5,skew=0.5");
   const auto a = materialize(plan, 42, 0.0, 7 * kDay);

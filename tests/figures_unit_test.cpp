@@ -4,6 +4,7 @@
 
 #include "analysis/figures.h"
 #include "analysis/tables.h"
+#include "stats/binning.h"
 
 namespace bblab::analysis {
 namespace {
@@ -86,9 +87,10 @@ TEST(Fig8Pipeline, RespectsThirtyUserMinimum) {
   const auto ds = tiny_dataset();  // 40 users per country, one tier each
   const auto fig = fig8_tier_utilization(ds, {"AA", "BB"});
   ASSERT_EQ(fig.size(), 2u);
-  EXPECT_EQ(fig[0].tiers.size(), 1u);
-  EXPECT_EQ(fig[0].tiers.count("1-8 Mbps"), 1u);
-  EXPECT_EQ(fig[1].tiers.count("8-16 Mbps"), 1u);
+  ASSERT_EQ(fig[0].tiers.size(), 1u);
+  EXPECT_EQ(fig[0].tiers[0].first, "1-8 Mbps");
+  ASSERT_EQ(fig[1].tiers.size(), 1u);
+  EXPECT_EQ(fig[1].tiers[0].first, "8-16 Mbps");
 
   // A country with only 20 users in a tier publishes nothing.
   dataset::StudyDataset sparse;
@@ -96,6 +98,25 @@ TEST(Fig8Pipeline, RespectsThirtyUserMinimum) {
   const auto fig_sparse = fig8_tier_utilization(sparse, {"CC"});
   ASSERT_EQ(fig_sparse.size(), 1u);
   EXPECT_TRUE(fig_sparse[0].tiers.empty());
+}
+
+TEST(Fig8Pipeline, TiersFollowCapacityOrder) {
+  // 30 users in each tier, added fastest first: the output must still run
+  // from the slowest tier to the fastest, not in label order.
+  dataset::StudyDataset ds;
+  std::uint64_t id = 0;
+  for (const double cap_mbps : {40.0, 20.0, 10.0, 4.0, 0.5}) {
+    for (int i = 0; i < 30; ++i) ds.dasu.push_back(user(id++, "AA", cap_mbps, 100, 50));
+  }
+  const auto fig = fig8_tier_utilization(ds, {"AA"});
+  ASSERT_EQ(fig.size(), 1u);
+  std::vector<std::string> labels;
+  for (const auto& [label, ecdf] : fig[0].tiers) labels.push_back(label);
+  std::vector<std::string> expected;
+  for (const auto tier : stats::all_tiers()) expected.push_back(stats::tier_label(tier));
+  EXPECT_EQ(labels, expected);
+  EXPECT_EQ(labels.front(), "<1 Mbps");
+  EXPECT_EQ(labels.back(), ">32 Mbps");
 }
 
 TEST(Fig9Pipeline, AveragesPeakDemandPerTier) {

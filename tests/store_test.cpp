@@ -5,6 +5,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -505,6 +506,29 @@ TEST_F(CacheTest, ListRemoveClear) {
   EXPECT_EQ(cache.list().size(), 2u);
   EXPECT_EQ(cache.clear(), 2u);
   EXPECT_TRUE(cache.list().empty());
+}
+
+TEST_F(CacheTest, TmpTtlOverrideMustBeAWholeNonNegativeNumber) {
+  // A writer's temp file, ten seconds old. Only a finite, non-negative
+  // whole-token TTL may shorten the 3600 s default enough to sweep it: a
+  // misread override would delete a live writer's file.
+  const auto tmp = root_ / "objects" / "ab" / "live.p1.0.tmp";
+  const auto plant = [&] {
+    std::filesystem::create_directories(tmp.parent_path());
+    std::ofstream{tmp} << "in flight";
+    std::filesystem::last_write_time(
+        tmp, std::filesystem::file_time_type::clock::now() - std::chrono::seconds{10});
+  };
+  for (const char* ttl : {"-1", "nan", "inf", "5s", " 5", "0x1", "+5", "1e"}) {
+    plant();
+    ::setenv("BBLAB_CACHE_TMP_TTL_S", ttl, 1);
+    const ArtifactCache cache{root_};
+    EXPECT_TRUE(std::filesystem::exists(tmp)) << "TTL '" << ttl << "' swept a live file";
+  }
+  ::setenv("BBLAB_CACHE_TMP_TTL_S", "5", 1);
+  const ArtifactCache cache{root_};
+  EXPECT_FALSE(std::filesystem::exists(tmp));
+  ::unsetenv("BBLAB_CACHE_TMP_TTL_S");
 }
 
 TEST_F(CacheTest, DefaultRootHonorsEnvOverride) {
