@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "core/rng.h"
-#include "core/thread_pool.h"
 #include "measurement/pipeline.h"
 
 namespace bblab::bench {
@@ -50,13 +49,13 @@ inline std::vector<double> measure_task_costs(
     const measurement::PipelineToolkit& kit,
     std::span<const measurement::HouseholdTask> tasks) {
   const Rng base{2014};
-  core::ThreadPool serial{1};
   std::vector<double> out(tasks.size());
   for (std::size_t i = 0; i < tasks.size(); ++i) {
     double best = std::numeric_limits<double>::infinity();
     for (int rep = 0; rep < 3; ++rep) {
       const auto t0 = std::chrono::steady_clock::now();
-      (void)measurement::parallel_simulate_households(kit, tasks.subspan(i, 1), base, serial);
+      Rng rng = base.fork(tasks[i].stream_id);
+      (void)measurement::simulate_household(kit, tasks[i], rng);
       const auto t1 = std::chrono::steady_clock::now();
       best = std::min(best, std::chrono::duration<double, std::milli>{t1 - t0}.count());
     }

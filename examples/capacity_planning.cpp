@@ -6,6 +6,7 @@
 // expected per-subscriber mean/p95 demand and the implied aggregation
 // over-subscription ratio, using the library's demand model end to end.
 #include <array>
+#include <cmath>
 #include <cstdio>
 #include <iostream>
 #include <vector>
@@ -53,7 +54,9 @@ int main() {
       ctx.link = link;
       ctx.bt_user = behavior::traits_of(ctx.archetype).bt_sessions_per_day > 0;
 
-      const auto wp = demand.workload_params(ctx, rng);
+      const double phase = rng.normal(0.0, 1.5);
+      const double noise = std::exp(rng.normal(0.0, demand.params().intensity_log_sigma));
+      const auto wp = demand.workload_params(ctx, noise, phase);
       const auto flows = workload.generate(wp, link, 0.0, 2 * kDay, rng);
       const netsim::FluidLinkSimulator sim{link};
       const auto truth = sim.run(flows, 0.0, 2 * 2880, 30.0);

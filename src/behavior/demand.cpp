@@ -54,12 +54,6 @@ double DemandModel::quality_factor(Millis rtt_ms, LossRate loss) const {
 }
 
 netsim::WorkloadParams DemandModel::workload_params(const SubscriberContext& ctx,
-                                                    Rng& rng) const {
-  return workload_params(ctx, std::exp(rng.normal(0.0, params_.intensity_log_sigma)),
-                         rng.normal(0.0, 1.5));
-}
-
-netsim::WorkloadParams DemandModel::workload_params(const SubscriberContext& ctx,
                                                     double intensity_noise,
                                                     double phase_shift_hours) const {
   require(intensity_noise > 0.0, "workload_params: noise must be positive");

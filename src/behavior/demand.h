@@ -22,7 +22,6 @@
 #pragma once
 
 #include "behavior/archetype.h"
-#include "core/rng.h"
 #include "netsim/link.h"
 #include "netsim/workload.h"
 
@@ -81,15 +80,11 @@ class DemandModel {
   [[nodiscard]] double pressure_factor_light(double need_mbps, Rate capacity) const;
   [[nodiscard]] double quality_factor(Millis rtt_ms, LossRate loss) const;
 
-  /// Materialize the workload knobs for one subscriber. Draws the
-  /// idiosyncratic noise and diurnal phase from `rng`.
-  [[nodiscard]] netsim::WorkloadParams workload_params(const SubscriberContext& ctx,
-                                                       Rng& rng) const;
-
-  /// Deterministic variant: caller supplies the idiosyncratic intensity
-  /// multiplier and diurnal phase. The within-user upgrade experiment
-  /// holds these fixed across the before/after observations so the only
-  /// change between windows is the service itself.
+  /// Materialize the workload knobs for one subscriber. The caller draws
+  /// the idiosyncratic intensity multiplier and diurnal phase; the
+  /// within-user upgrade experiment holds them fixed across the
+  /// before/after observations so the only change between windows is
+  /// the service itself.
   [[nodiscard]] netsim::WorkloadParams workload_params(const SubscriberContext& ctx,
                                                        double intensity_noise,
                                                        double phase_shift_hours) const;

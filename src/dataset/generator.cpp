@@ -143,10 +143,10 @@ struct Toolkit {
 
 /// Simulate one observation window and summarize it through a collector.
 /// `ws` is the worker thread's reusable simulation scratch state.
-measurement::UsageSummary observe(const Toolkit& kit, const StudyConfig& config,
-                                  const AccessLink& link,
+measurement::UsageSummary observe(const Toolkit& kit, const AccessLink& link,
                                   const netsim::WorkloadParams& wp, SimTime t0,
-                                  double window_days, double bin_s, bool gateway,
+                                  double window_days, double bin_s,
+                                  measurement::CollectorKind collector,
                                   std::uint64_t stream_id, Rng& rng,
                                   measurement::HouseholdWorkspace& ws) {
   measurement::HouseholdTask task;
@@ -156,9 +156,7 @@ measurement::UsageSummary observe(const Toolkit& kit, const StudyConfig& config,
   task.t0 = t0;
   task.bins = static_cast<std::size_t>(std::round(window_days * kDay / bin_s));
   task.bin_width_s = bin_s;
-  task.collector = gateway ? measurement::CollectorKind::kGateway
-                           : measurement::CollectorKind::kDasu;
-  (void)config;
+  task.collector = collector;
   return measurement::simulate_household(kit.pipeline(), task, rng, &ws).summary;
 }
 
@@ -276,11 +274,27 @@ void merge_shard_output(StudyDataset& ds, const ShardSpec& spec, ShardOutput&& o
   ds.qc.merge(out.qc);
 }
 
+void check_household_failure_rate(const StudyDataset& ds) {
+  if (ds.qc.empty()) return;
+  log_warn("generation quarantine: ", ds.qc.summary());
+  const std::size_t household_rows =
+      ds.qc.rows.size() - ds.qc.count(QuarantineReason::kIoFailure) -
+      ds.qc.count(QuarantineReason::kDeadlineExceeded);
+  const std::size_t seen = ds.qc.admitted + household_rows;
+  const double rate =
+      seen == 0 ? 0.0 : static_cast<double>(household_rows) / static_cast<double>(seen);
+  if (rate > ds.config.max_household_failure_rate) {
+    throw AnalysisError{"household failure rate " + std::to_string(rate) +
+                        " exceeds max " +
+                        std::to_string(ds.config.max_household_failure_rate) + " (" +
+                        ds.qc.summary() + ")"};
+  }
+}
+
 std::vector<ShardSpec> StudyGenerator::plan_shards(
     const std::map<std::string, MarketSnapshot>& markets) const {
-  // This walk must mirror generate()'s exactly — same country order, same
-  // empty-catalog skips (before any ids are consumed), same per-year user
-  // counts — so shard user-id ranges tile [1, next_user_id) identically.
+  // Empty catalogs are skipped before any ids are consumed, so the shard
+  // user-id ranges tile [1, next_user_id) contiguously.
   OBS_SPAN("plan_shards");
   const int years = config_.last_year - config_.first_year + 1;
   std::vector<ShardSpec> shards;
@@ -328,7 +342,7 @@ namespace {
 template <typename SimulateUser>
 void run_shard_users(const dataset::ShardSpec& spec, core::ThreadPool& pool,
                      const core::Deadline* deadline, const SimulateUser& simulate_user,
-                     bool keep_upgrades, ShardOutput& out) {
+                     ShardOutput& out) {
   std::vector<UserOutcome> outcomes(spec.n_users);
   std::atomic<bool> overran{false};
   core::parallel_for(pool, spec.n_users, [&](std::size_t begin, std::size_t end) {
@@ -371,7 +385,7 @@ void run_shard_users(const dataset::ShardSpec& spec, core::ThreadPool& pool,
       records.add();
       out.records.push_back(std::move(*o.record));
     }
-    if (keep_upgrades && o.upgrade) {
+    if (o.upgrade) {
       upgrades.add();
       out.upgrades.push_back(std::move(*o.upgrade));
     }
@@ -409,228 +423,174 @@ ShardOutput StudyGenerator::simulate_shard(
 
   const int years = config_.last_year - config_.first_year + 1;
   const int yi = spec.year_index;
+  const int year = config_.first_year + yi;
   // Center need growth on the middle study year so the pooled capacity
   // distribution matches the country anchors the choice model was
   // calibrated against.
   const double need_scale =
       std::pow(config_.annual_need_growth,
                static_cast<double>(yi) - static_cast<double>(years - 1) / 2.0);
+  const auto& country = world_.at(spec.country_code);
+  const MarketSnapshot& snap = markets.at(spec.country_code);
+
+  // The two instruments differ only here: Dasu end hosts (30 s counters,
+  // followed through upgrades) sample every country; the FCC panel is US
+  // households on hourly gateway counters over a longer window.
+  const bool fcc = spec.kind == ShardSpec::Kind::kFcc;
+  const Rng shard_rng =
+      fcc ? root.fork(0xFCC) : root.fork(0x5151 ^ std::hash<std::string>{}(country.code));
+  const ArchetypeMix mix = fcc ? ArchetypeMix::fcc() : ArchetypeMix::dasu();
+  const double window_days = fcc ? config_.fcc_window_days : config_.window_days;
+  const auto collector =
+      fcc ? measurement::CollectorKind::kGateway : measurement::CollectorKind::kDasu;
+  const Source source = fcc ? Source::kFcc : Source::kDasu;
+
+  // Each household depends only on its forked RNG substream (keyed by
+  // user id) and read-only market/toolkit state, so the per-user bodies
+  // shard freely across the pool; outcomes land in id-order slots and
+  // are appended in that order.
+  const auto simulate_user = [&](std::uint64_t user_id,
+                                 measurement::HouseholdWorkspace& ws) -> UserOutcome {
+    UserOutcome out;
+    Rng rng = shard_rng.fork(user_id);
+
+    const Archetype archetype = mix.sample(rng);
+    Household household = sample_household(country, rng, need_scale);
+    const auto plan_opt = snap.choice.choose(household, snap.catalog);
+    if (!plan_opt) return out;
+    const ServicePlan plan = *plan_opt;
+    const AccessLink link = make_link(country, plan, rng);
+
+    SubscriberContext ctx;
+    ctx.archetype = archetype;
+    ctx.need_mbps = household.need_mbps;
+    ctx.link = link;
+    ctx.bt_user = behavior::traits_of(archetype).bt_sessions_per_day > 0.0;
+
+    // The idiosyncratic intensity noise and diurnal phase, one draw per
+    // statement. The two instruments draw them in opposite orders; the
+    // pinned datasets hold both orders until a semantics-version bump.
+    double noise = 0.0;
+    double phase = 0.0;
+    if (fcc) {
+      phase = rng.normal(0.0, 1.5);
+      noise = std::exp(rng.normal(0.0, demand.params().intensity_log_sigma));
+    } else {
+      noise = std::exp(rng.normal(0.0, demand.params().intensity_log_sigma));
+      phase = rng.normal(0.0, 1.5);
+    }
+    auto wp = demand.workload_params(ctx, noise, phase);
+    if (plan.monthly_cap) {
+      behavior::apply_cap(wp, link, *plan.monthly_cap, kit.workload.constants(),
+                          kit.tcp);
+    }
+
+    // A random full-day-aligned window inside this study year.
+    const double year_base = static_cast<double>(yi) * kYear;
+    const double max_day = kYear / kDay - window_days - 1.0;
+    const SimTime t0 = year_base + std::floor(rng.uniform(0.0, max_day)) * kDay;
+
+    const auto summary = observe(kit, link, wp, t0, window_days, config_.dasu_bin_s,
+                                 collector, user_id, rng, ws);
+    const auto probe = kit.ndt.characterize(link, rng);
+
+    UserRecord rec;
+    rec.user_id = user_id;
+    rec.source = source;
+    rec.country_code = country.code;
+    rec.region = country.region;
+    rec.year = year;
+    rec.capacity = probe.download;
+    rec.upload_capacity = probe.upload;
+    rec.rtt_ms = probe.rtt_ms;
+    rec.loss = probe.loss;
+    rec.access_price = snap.access_price;
+    rec.upgrade_cost_per_mbps = snap.upgrade_cost_per_mbps;
+    rec.plan_price = plan.monthly_price;
+    rec.plan_capacity = plan.download;
+    rec.monthly_cap = plan.monthly_cap.value_or(0);
+    rec.gdp_per_capita_ppp = country.gdp_per_capita_ppp;
+    rec.usage = summary;
+    rec.true_need_mbps = household.need_mbps;
+    rec.archetype = archetype;
+    rec.bt_user = ctx.bt_user;
+    out.record = std::move(rec);
+
+    // Upgrade follow-up (Dasu only): evolve this household one year
+    // forward and, if it switched to a faster plan, observe it again on
+    // the new service with the same idiosyncrasies.
+    if (fcc || !rng.bernoulli(config_.upgrade_follow_share)) return out;
+    const market::UpgradeModel upgrades{
+        snap.choice,
+        market::UpgradePolicy{.annual_need_growth = config_.annual_need_growth}};
+    Household future = household;
+    const auto events = upgrades.evolve(future, plan, snap.catalog, year,
+                                        config_.upgrade_horizon_years, rng);
+    std::optional<ServicePlan> switched;
+    int switch_year = year + 1;
+    if (!events.empty() && events.front().is_upgrade()) {
+      switched = events.front().new_plan;
+      switch_year = events.front().year;
+    } else if (rng.bernoulli(config_.exogenous_upgrade_share *
+                             std::clamp(2.0 / std::sqrt(plan.download.mbps()), 0.25,
+                                        1.0))) {
+      // Slow services churn more (they are the ones promotions and line
+      // re-grades target), which also matches the paper's switcher
+      // population: its median "slow network" usage sits in the
+      // hundred-kbps range.
+      // Exogenous one-tier bump: the cheapest wireline plan strictly
+      // faster than the current one (moving house, ISP promotion...).
+      const ServicePlan* next = nullptr;
+      for (const auto& candidate : snap.catalog.plans()) {
+        if (candidate.download <= plan.download) continue;
+        if (candidate.tech == market::AccessTech::kFixedWireless ||
+            candidate.tech == market::AccessTech::kSatellite || candidate.dedicated) {
+          continue;
+        }
+        const bool better = next == nullptr || candidate.download < next->download ||
+                            (candidate.download == next->download &&
+                             candidate.monthly_price < next->monthly_price);
+        if (better) next = &candidate;
+      }
+      if (next != nullptr) switched = *next;
+    }
+    if (!switched) return out;
+    const ServicePlan& new_plan = *switched;
+    AccessLink new_link = link;  // same line quality, faster service
+    new_link.down = new_plan.download;
+    new_link.up = new_plan.upload;
+
+    SubscriberContext after_ctx = ctx;
+    after_ctx.need_mbps = future.need_mbps;
+    after_ctx.link = new_link;
+    const auto after_wp = demand.workload_params(after_ctx, noise, phase);
+    // Also re-observe "before" behavior with the grown need so the pair
+    // isolates the capacity change from need growth.
+    SubscriberContext before_ctx = after_ctx;
+    before_ctx.link = link;
+    const auto before_wp = demand.workload_params(before_ctx, noise, phase);
+
+    const SimTime t_before = t0 + kYear;  // same point in the following year
+    const SimTime t_after = t_before + 14.0 * kDay;
+    UpgradeObservation obs;
+    obs.user_id = user_id;
+    obs.country_code = country.code;
+    obs.year = switch_year;
+    obs.old_capacity = plan.download;
+    obs.new_capacity = new_plan.download;
+    obs.old_price = plan.monthly_price;
+    obs.new_price = new_plan.monthly_price;
+    obs.before = observe(kit, link, before_wp, t_before, window_days,
+                         config_.dasu_bin_s, collector, user_id, rng, ws);
+    obs.after = observe(kit, new_link, after_wp, t_after, window_days,
+                        config_.dasu_bin_s, collector, user_id, rng, ws);
+    out.upgrade = std::move(obs);
+    return out;
+  };
+
   ShardOutput out;
-
-  if (spec.kind == ShardSpec::Kind::kDasu) {
-    const auto& country = world_.at(spec.country_code);
-    const MarketSnapshot& snap = markets.at(spec.country_code);
-    const int year = config_.first_year + yi;
-    Rng country_rng = root.fork(0x5151 ^ std::hash<std::string>{}(country.code));
-
-    // Each household depends only on its forked RNG substream (keyed
-    // by user id) and read-only market/toolkit state, so the per-user
-    // bodies shard freely across the pool; outcomes land in id-order
-    // slots and are appended in that order.
-    const auto simulate_user = [&](std::uint64_t user_id,
-                                     measurement::HouseholdWorkspace& ws) -> UserOutcome {
-        UserOutcome out;
-        Rng rng = country_rng.fork(user_id);
-
-        const Archetype archetype = ArchetypeMix::dasu().sample(rng);
-        Household household = sample_household(country, rng, need_scale);
-        const auto plan_opt = snap.choice.choose(household, snap.catalog);
-        if (!plan_opt) return out;
-        const ServicePlan plan = *plan_opt;
-        const AccessLink link = make_link(country, plan, rng);
-
-        SubscriberContext ctx;
-        ctx.archetype = archetype;
-        ctx.need_mbps = household.need_mbps;
-        ctx.link = link;
-        ctx.bt_user = behavior::traits_of(archetype).bt_sessions_per_day > 0.0;
-
-        const double noise =
-            std::exp(rng.normal(0.0, demand.params().intensity_log_sigma));
-        const double phase = rng.normal(0.0, 1.5);
-        auto wp = demand.workload_params(ctx, noise, phase);
-        if (plan.monthly_cap) {
-          behavior::apply_cap(wp, link, *plan.monthly_cap,
-                              kit.workload.constants(), kit.tcp);
-        }
-
-        // A random full-day-aligned window inside this study year.
-        const double year_base = static_cast<double>(yi) * kYear;
-        const double max_day = kYear / kDay - config_.window_days - 1.0;
-        const SimTime t0 =
-            year_base + std::floor(rng.uniform(0.0, max_day)) * kDay;
-
-        const auto summary = observe(kit, config_, link, wp, t0, config_.window_days,
-                                     config_.dasu_bin_s, /*gateway=*/false, user_id,
-                                     rng, ws);
-        const auto probe = kit.ndt.characterize(link, rng);
-
-        UserRecord rec;
-        rec.user_id = user_id;
-        rec.source = Source::kDasu;
-        rec.country_code = country.code;
-        rec.region = country.region;
-        rec.year = year;
-        rec.capacity = probe.download;
-        rec.upload_capacity = probe.upload;
-        rec.rtt_ms = probe.rtt_ms;
-        rec.loss = probe.loss;
-        rec.access_price = snap.access_price;
-        rec.upgrade_cost_per_mbps = snap.upgrade_cost_per_mbps;
-        rec.plan_price = plan.monthly_price;
-        rec.plan_capacity = plan.download;
-        rec.monthly_cap = plan.monthly_cap.value_or(0);
-        rec.gdp_per_capita_ppp = country.gdp_per_capita_ppp;
-        rec.usage = summary;
-        rec.true_need_mbps = household.need_mbps;
-        rec.archetype = archetype;
-        rec.bt_user = ctx.bt_user;
-        out.record = std::move(rec);
-
-        // Upgrade follow-up: evolve this household one year forward and,
-        // if it switched to a faster plan, observe it again on the new
-        // service with the same idiosyncrasies.
-        if (rng.bernoulli(config_.upgrade_follow_share)) {
-          const market::UpgradeModel upgrades{
-              snap.choice,
-              market::UpgradePolicy{.annual_need_growth = config_.annual_need_growth}};
-          Household future = household;
-          const auto events = upgrades.evolve(future, plan, snap.catalog, year,
-                                              config_.upgrade_horizon_years, rng);
-          std::optional<ServicePlan> switched;
-          int switch_year = year + 1;
-          if (!events.empty() && events.front().is_upgrade()) {
-            switched = events.front().new_plan;
-            switch_year = events.front().year;
-          } else if (rng.bernoulli(config_.exogenous_upgrade_share *
-                                   std::clamp(2.0 / std::sqrt(plan.download.mbps()),
-                                              0.25, 1.0))) {
-            // Slow services churn more (they are the ones promotions and
-            // line re-grades target), which also matches the paper's
-            // switcher population: its median "slow network" usage sits
-            // in the hundred-kbps range.
-            // Exogenous one-tier bump: the cheapest wireline plan strictly
-            // faster than the current one (moving house, ISP promotion...).
-            const ServicePlan* next = nullptr;
-            for (const auto& candidate : snap.catalog.plans()) {
-              if (candidate.download <= plan.download) continue;
-              if (candidate.tech == market::AccessTech::kFixedWireless ||
-                  candidate.tech == market::AccessTech::kSatellite ||
-                  candidate.dedicated) {
-                continue;
-              }
-              const bool better =
-                  next == nullptr || candidate.download < next->download ||
-                  (candidate.download == next->download &&
-                   candidate.monthly_price < next->monthly_price);
-              if (better) next = &candidate;
-            }
-            if (next != nullptr) switched = *next;
-          }
-          if (switched) {
-            const ServicePlan& new_plan = *switched;
-            AccessLink new_link = link;  // same line quality, faster service
-            new_link.down = new_plan.download;
-            new_link.up = new_plan.upload;
-
-            SubscriberContext after_ctx = ctx;
-            after_ctx.need_mbps = future.need_mbps;
-            after_ctx.link = new_link;
-            const auto after_wp = demand.workload_params(after_ctx, noise, phase);
-            // Also re-observe "before" behavior with the grown need so the
-            // pair isolates the capacity change from need growth.
-            SubscriberContext before_ctx = after_ctx;
-            before_ctx.link = link;
-            const auto before_wp = demand.workload_params(before_ctx, noise, phase);
-
-            const SimTime t_before =
-                t0 + kYear;  // same point in the following year
-            const SimTime t_after = t_before + 14.0 * kDay;
-            UpgradeObservation obs;
-            obs.user_id = user_id;
-            obs.country_code = country.code;
-            obs.year = switch_year;
-            obs.old_capacity = plan.download;
-            obs.new_capacity = new_plan.download;
-            obs.old_price = plan.monthly_price;
-            obs.new_price = new_plan.monthly_price;
-            obs.before = observe(kit, config_, link, before_wp, t_before,
-                                 config_.window_days, config_.dasu_bin_s,
-                                 /*gateway=*/false, user_id, rng, ws);
-            obs.after = observe(kit, config_, new_link, after_wp, t_after,
-                                config_.window_days, config_.dasu_bin_s,
-                                /*gateway=*/false, user_id, rng, ws);
-            out.upgrade = std::move(obs);
-          }
-        }
-        return out;
-      };
-
-    run_shard_users(spec, pool, deadline, simulate_user, /*keep_upgrades=*/true, out);
-    log_debug("generated ", country.code, " year ", year, ": ", spec.n_users,
-              " users");
-  } else {
-    // FCC panel: US households on gateway instruments, spread across years.
-    const auto& us = world_.at(spec.country_code);
-    const MarketSnapshot& snap = markets.at(us.code);
-    Rng fcc_rng = root.fork(0xFCC);
-    const auto simulate_user = [&](std::uint64_t user_id,
-                                     measurement::HouseholdWorkspace& ws) -> UserOutcome {
-        UserOutcome out;
-        Rng rng = fcc_rng.fork(user_id);
-        const Archetype archetype = ArchetypeMix::fcc().sample(rng);
-        Household household = sample_household(us, rng, need_scale);
-        const auto plan_opt = snap.choice.choose(household, snap.catalog);
-        if (!plan_opt) return out;
-        const ServicePlan plan = *plan_opt;
-        const AccessLink link = make_link(us, plan, rng);
-
-        SubscriberContext ctx;
-        ctx.archetype = archetype;
-        ctx.need_mbps = household.need_mbps;
-        ctx.link = link;
-        ctx.bt_user = behavior::traits_of(archetype).bt_sessions_per_day > 0.0;
-        auto wp = demand.workload_params(ctx, rng);
-        if (plan.monthly_cap) {
-          behavior::apply_cap(wp, link, *plan.monthly_cap,
-                              kit.workload.constants(), kit.tcp);
-        }
-
-        const double year_base = static_cast<double>(yi) * kYear;
-        const double max_day = kYear / kDay - config_.fcc_window_days - 1.0;
-        const SimTime t0 = year_base + std::floor(rng.uniform(0.0, max_day)) * kDay;
-        const auto summary =
-            observe(kit, config_, link, wp, t0, config_.fcc_window_days,
-                    config_.dasu_bin_s, /*gateway=*/true, user_id, rng, ws);
-        const auto probe = kit.ndt.characterize(link, rng);
-
-        UserRecord rec;
-        rec.user_id = user_id;
-        rec.source = Source::kFcc;
-        rec.country_code = us.code;
-        rec.region = us.region;
-        rec.year = config_.first_year + yi;
-        rec.capacity = probe.download;
-        rec.upload_capacity = probe.upload;
-        rec.rtt_ms = probe.rtt_ms;
-        rec.loss = probe.loss;
-        rec.access_price = snap.access_price;
-        rec.upgrade_cost_per_mbps = snap.upgrade_cost_per_mbps;
-        rec.plan_price = plan.monthly_price;
-        rec.plan_capacity = plan.download;
-        rec.monthly_cap = plan.monthly_cap.value_or(0);
-        rec.gdp_per_capita_ppp = us.gdp_per_capita_ppp;
-        rec.usage = summary;
-        rec.true_need_mbps = household.need_mbps;
-        rec.archetype = archetype;
-        rec.bt_user = ctx.bt_user;
-        out.record = std::move(rec);
-        return out;
-      };
-
-    run_shard_users(spec, pool, deadline, simulate_user, /*keep_upgrades=*/false,
-                    out);
-  }
+  run_shard_users(spec, pool, deadline, simulate_user, out);
+  log_debug("generated ", shard_label);
   return out;
 }
 
@@ -650,15 +610,7 @@ StudyDataset StudyGenerator::generate() const {
     merge_shard_output(ds, spec, simulate_shard(spec, ds.markets, pool));
   }
 
-  if (!ds.qc.empty()) {
-    log_warn("generation quarantine: ", ds.qc.summary());
-    if (ds.qc.failure_rate() > config_.max_household_failure_rate) {
-      throw AnalysisError{"StudyGenerator: household failure rate " +
-                          std::to_string(ds.qc.failure_rate()) + " exceeds max " +
-                          std::to_string(config_.max_household_failure_rate) +
-                          " (" + ds.qc.summary() + ")"};
-    }
-  }
+  check_household_failure_rate(ds);
 
   log_info("dataset: ", ds.dasu.size(), " dasu users, ", ds.fcc.size(),
            " fcc users, ", ds.upgrades.size(), " upgrade pairs");

@@ -149,6 +149,12 @@ struct ShardOutput {
   core::QuarantineReport qc;
 };
 
+/// Throw AnalysisError when more than config.max_household_failure_rate
+/// of the simulated households failed. Only household rows count: a shard
+/// quarantined whole (kIoFailure, kDeadlineExceeded) is a run-level event
+/// that is reported on its own and cannot trip this tripwire.
+void check_household_failure_rate(const StudyDataset& ds);
+
 /// Append `out` to the dataset in the slot `spec` describes. Calling this
 /// for every planned shard in index order reproduces generate() exactly.
 void merge_shard_output(StudyDataset& ds, const ShardSpec& spec, ShardOutput&& out);
@@ -187,8 +193,6 @@ class StudyGenerator {
       core::ThreadPool& pool, const core::Deadline* deadline = nullptr) const;
 
  private:
-  struct SimContext;  // internal helpers defined in the .cpp
-
   const market::World& world_;
   StudyConfig config_;
 };

@@ -30,6 +30,27 @@ T parse_value(const std::string& key, const std::string& text) {
   return *v;
 }
 
+/// parse_value, then `valid(value)`; `range` names the accepted values.
+template <typename Valid>
+double parse_checked(const std::string& key, const std::string& text, const char* range,
+                     Valid valid) {
+  const double v = parse_value(key, text);
+  if (!valid(v)) {
+    throw InvalidArgument{"faults: value '" + text + "' for key '" + key +
+                          "' is out of range (" + range + ")"};
+  }
+  return v;
+}
+
+double parse_probability(const std::string& key, const std::string& text) {
+  return parse_checked(key, text, "a probability in [0, 1]",
+                       [](double v) { return v >= 0.0 && v <= 1.0; });
+}
+
+double parse_hours(const std::string& key, const std::string& text) {
+  return parse_checked(key, text, "hours > 0", [](double v) { return v > 0.0; });
+}
+
 }  // namespace
 
 bool FaultPlan::any_series_faults() const {
@@ -109,29 +130,30 @@ FaultPlan FaultPlan::parse(const std::string& spec, FaultPlan base) {
       if (key == "seed") {
         plan.seed = parse_value<std::uint64_t>(key, value);
       } else if (key == "churn") {
-        plan.churn_probability = parse_value(key, value);
+        plan.churn_probability = parse_probability(key, value);
       } else if (key == "outage_h") {
-        plan.mean_outage_hours = parse_value(key, value);
+        plan.mean_outage_hours = parse_hours(key, value);
       } else if (key == "blackout") {
-        plan.blackout_probability = parse_value(key, value);
+        plan.blackout_probability = parse_probability(key, value);
       } else if (key == "blackout_h") {
-        plan.mean_blackout_hours = parse_value(key, value);
+        plan.mean_blackout_hours = parse_hours(key, value);
       } else if (key == "reset") {
-        plan.reset_probability = parse_value(key, value);
+        plan.reset_probability = parse_probability(key, value);
       } else if (key == "wrap") {
-        plan.spurious_wrap_probability = parse_value(key, value);
+        plan.spurious_wrap_probability = parse_probability(key, value);
       } else if (key == "skew") {
-        plan.clock_skew_probability = parse_value(key, value);
+        plan.clock_skew_probability = parse_probability(key, value);
       } else if (key == "skew_s") {
-        plan.max_clock_skew_s = parse_value(key, value);
+        plan.max_clock_skew_s = parse_checked(key, value, "seconds >= 0",
+                                              [](double v) { return v >= 0.0; });
       } else if (key == "dup") {
-        plan.row_duplicate_probability = parse_value(key, value);
+        plan.row_duplicate_probability = parse_probability(key, value);
       } else if (key == "corrupt") {
-        plan.row_corrupt_probability = parse_value(key, value);
+        plan.row_corrupt_probability = parse_probability(key, value);
       } else if (key == "truncate") {
-        plan.row_truncate_probability = parse_value(key, value);
+        plan.row_truncate_probability = parse_probability(key, value);
       } else if (key == "fail") {
-        plan.household_failure_probability = parse_value(key, value);
+        plan.household_failure_probability = parse_probability(key, value);
       } else {
         throw InvalidArgument{"faults: unknown key '" + key + "'"};
       }

@@ -78,7 +78,9 @@ struct FaultPlan {
   /// Parse a "key=value,key=value" spec on top of `base` (defaults when
   /// omitted). Keys: churn, outage_h, blackout, blackout_h, reset, wrap,
   /// skew, skew_s, dup, corrupt, truncate, fail, seed. Throws
-  /// InvalidArgument on unknown keys or unparseable values.
+  /// InvalidArgument naming the key on an unknown key, an unparseable
+  /// value, a probability outside [0, 1], an outage_h or blackout_h <= 0,
+  /// or a skew_s < 0.
   [[nodiscard]] static FaultPlan parse(const std::string& spec);
   [[nodiscard]] static FaultPlan parse(const std::string& spec, FaultPlan base);
 };

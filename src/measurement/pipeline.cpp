@@ -5,28 +5,9 @@
 #include <string>
 
 #include "core/error.h"
-#include "core/hash.h"
 #include "obs/span.h"
 
 namespace bblab::measurement {
-
-void fingerprint(core::Hasher& hasher, const HouseholdTask& task) {
-  hasher.update_string("measurement::HouseholdTask");
-  hasher.update_double(task.workload.intensity);
-  hasher.update_double(task.workload.heavy_intensity);
-  hasher.update_double(task.workload.bt_sessions_per_day);
-  hasher.update_double(task.workload.phase_shift_hours);
-  hasher.update_double(task.workload.video_top_mbps);
-  hasher.update_double(task.link.down.bps());
-  hasher.update_double(task.link.up.bps());
-  hasher.update_double(task.link.rtt_ms);
-  hasher.update_double(task.link.loss);
-  hasher.update_double(task.t0);
-  hasher.update_u64(task.bins);
-  hasher.update_double(task.bin_width_s);
-  hasher.update_u32(static_cast<std::uint32_t>(task.collector));
-  hasher.update_u64(task.stream_id);
-}
 
 void apply_faults(UsageSeries& series, const faults::HouseholdFaults& household) {
   if (household.empty()) return;
@@ -101,28 +82,6 @@ HouseholdResult simulate_household(const PipelineToolkit& kit,
   apply_faults(result.series, household);
   result.summary = summarize(result.series);
   return result;
-}
-
-std::vector<HouseholdResult> parallel_simulate_households(
-    const PipelineToolkit& kit, std::span<const HouseholdTask> tasks,
-    const Rng& base, core::ThreadPool& pool) {
-  std::vector<HouseholdResult> results(tasks.size());
-  // One thread may simulate the whole batch; keep every span it records.
-  if (obs::tracing_enabled()) obs::add_trace_capacity(tasks.size() * kSpansPerHousehold);
-  core::parallel_for(pool, tasks.size(), [&](std::size_t begin, std::size_t end) {
-    // One workspace per contiguous block (the work-stealing pool
-    // over-partitions into several blocks per worker): the scratch
-    // buffers warm up on the first household and every later one in the
-    // block simulates allocation-free. Each household still forks its
-    // own Rng substream by stable stream id, so results do not depend on
-    // how blocks land on threads.
-    HouseholdWorkspace workspace;
-    for (std::size_t i = begin; i < end; ++i) {
-      Rng rng = base.fork(tasks[i].stream_id);
-      results[i] = simulate_household(kit, tasks[i], rng, &workspace);
-    }
-  });
-  return results;
 }
 
 }  // namespace bblab::measurement

@@ -1,30 +1,22 @@
-// Parallel per-household simulation pipeline.
+// Per-household simulation pipeline.
 //
 // The paper's datasets are tens of thousands of independent
 // household-windows, each run through the same workload -> fluid-link ->
-// collector chain. This driver shards those households across a
-// core::ThreadPool and merges the per-shard collector output back in
-// task order, so the result vector — and every statistic computed from
-// it — is bit-identical regardless of thread count. Determinism comes
-// from the RNG substream scheme: household i draws only from
-// base.fork(tasks[i].stream_id), never from a shared stream.
+// collector chain. simulate_household runs that chain for one window,
+// drawing only from the RNG it is handed; dataset::StudyGenerator's
+// shards fan households out over a core::ThreadPool, one forked
+// substream per household, so output is identical at any thread count.
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "core/rng.h"
-#include "core/thread_pool.h"
 #include "faults/fault_plan.h"
 #include "measurement/collectors.h"
 #include "measurement/usage.h"
 #include "netsim/fluid.h"
 #include "netsim/workload.h"
-
-namespace bblab::core {
-class Hasher;
-}
 
 namespace bblab::measurement {
 
@@ -54,12 +46,6 @@ struct HouseholdTask {
   std::uint64_t stream_id{0};
 };
 
-/// Feed every simulation-relevant field of a task into a fingerprint
-/// hasher. Together with kPipelineSemanticsVersion and the RNG base this
-/// addresses a household's simulated output — the cache lookup key for
-/// batches run through parallel_simulate_households.
-void fingerprint(core::Hasher& hasher, const HouseholdTask& task);
-
 struct HouseholdResult {
   netsim::BinnedUsage truth;  ///< simulator ground truth
   /// What the instrument observed. Empty for a Dasu household simulated
@@ -74,7 +60,7 @@ struct HouseholdResult {
 
 /// Per-worker scratch for simulate_household: the workload's flow and
 /// arrival buffers, the fluid engine's buffers and the collector's
-/// summary columns. Batch drivers keep one per block of households, so
+/// summary columns. The shard driver keeps one per block of households, so
 /// every household after the first generates, simulates and summarizes
 /// without per-flow or per-bin allocation.
 struct HouseholdWorkspace {
@@ -114,19 +100,12 @@ inline constexpr std::size_t kSpansPerHousehold = 3;
 /// observed series; a household selected for hard failure throws
 /// InjectedFault.
 ///
-/// `workspace` is reusable scratch state: batch drivers pass one per
-/// worker thread so every household-window after the first runs without
+/// `workspace` is reusable scratch state: the shard driver passes one per
+/// block of households so every household-window after the first runs without
 /// per-bin allocations. Null falls back to a per-call workspace
 /// (identical output, just slower).
 [[nodiscard]] HouseholdResult simulate_household(const PipelineToolkit& kit,
                                                  const HouseholdTask& task, Rng& rng,
                                                  HouseholdWorkspace* workspace = nullptr);
-
-/// Simulate every task, sharded across `pool`, merging results in task
-/// order. Household i uses base.fork(tasks[i].stream_id); output is
-/// byte-identical for any pool size.
-[[nodiscard]] std::vector<HouseholdResult> parallel_simulate_households(
-    const PipelineToolkit& kit, std::span<const HouseholdTask> tasks,
-    const Rng& base, core::ThreadPool& pool);
 
 }  // namespace bblab::measurement

@@ -373,25 +373,7 @@ CheckpointedRun run_checkpointed(const market::World& world,
     merge_shard_output(ds, spec, std::move(out));
   }
 
-  if (!ds.qc.empty()) {
-    log_warn("generation quarantine: ", ds.qc.summary());
-    // The failure-rate tripwire guards against a sick *simulation*;
-    // count only household-level rows so a quarantined shard (an I/O or
-    // deadline event, already reported above) cannot trip it.
-    const std::size_t shard_rows = ds.qc.count(QuarantineReason::kIoFailure) +
-                                   ds.qc.count(QuarantineReason::kDeadlineExceeded);
-    const std::size_t household_rows = ds.qc.rows.size() - shard_rows;
-    const std::size_t seen = ds.qc.admitted + household_rows;
-    const double rate =
-        seen == 0 ? 0.0
-                  : static_cast<double>(household_rows) / static_cast<double>(seen);
-    if (rate > config.max_household_failure_rate) {
-      throw AnalysisError{"run_checkpointed: household failure rate " +
-                          std::to_string(rate) + " exceeds max " +
-                          std::to_string(config.max_household_failure_rate) + " (" +
-                          ds.qc.summary() + ")"};
-    }
-  }
+  dataset::check_household_failure_rate(ds);
 
   log_info("checkpoint: ", run.shards_total, " shards (", run.shards_reused,
            " reused, ",

@@ -11,6 +11,7 @@
 #include "core/error.h"
 #include "core/thread_pool.h"
 #include "core/watchdog.h"
+#include "faults/fault_plan.h"
 #include "faults/fs_faults.h"
 #include "obs/metrics.h"
 #include "store/bbs.h"
@@ -259,6 +260,36 @@ TEST(RunCheckpointed, ImpossibleDeadlineQuarantinesEveryShard) {
   const auto healed = run_checkpointed(tiny_world(), tiny_config(), opts);
   EXPECT_FALSE(healed.degraded());
   EXPECT_EQ(content_hash(healed.dataset), content_hash(reference_dataset()));
+}
+
+TEST(RunCheckpointed, FailureTripwireCountsOnlyHouseholdRows) {
+  // A sick simulation aborts the checkpointed run as it aborts generate().
+  auto sick = tiny_config();
+  sick.faults = faults::FaultPlan::parse("fail=0.9");
+  sick.max_household_failure_rate = 0.05;
+  CheckpointOptions opts;
+  opts.dir = fresh_dir("ckpt_sick");
+  EXPECT_THROW((void)run_checkpointed(tiny_world(), sick, opts), AnalysisError);
+
+  // Shard-level quarantine rows (I/O, deadline) are run-level events: even
+  // a zero tolerance for failed households lets such runs complete.
+  auto strict = tiny_config();
+  strict.max_household_failure_rate = 0.0;
+  faults::FaultFileSystem fs{faults::FsFaultPlan::parse("eio@7x4")};
+  opts.dir = fresh_dir("ckpt_strict_io");
+  opts.fs = &fs;
+  opts.retry.max_attempts = 3;
+  opts.retry.base_delay_ms = 0.01;
+  const auto io = run_checkpointed(tiny_world(), strict, opts);
+  EXPECT_EQ(io.dataset.qc.count(QuarantineReason::kIoFailure), 1u);
+  EXPECT_EQ(io.dataset.qc.rows.size(), 1u);
+
+  CheckpointOptions late;
+  late.dir = fresh_dir("ckpt_strict_deadline");
+  late.shard_deadline_s = 1e-9;
+  const auto deadline = run_checkpointed(tiny_world(), strict, late);
+  EXPECT_EQ(deadline.dataset.qc.count(QuarantineReason::kDeadlineExceeded),
+            deadline.shards_total);
 }
 
 }  // namespace

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/error.h"
 #include "core/units.h"
@@ -58,6 +60,31 @@ TEST(FaultPlan, ParseRejectsGarbage) {
   EXPECT_THROW((void)FaultPlan::parse("churn"), InvalidArgument);
   EXPECT_THROW((void)FaultPlan::parse("churn=abc"), InvalidArgument);
   EXPECT_THROW((void)FaultPlan::parse("churn=0.1x"), InvalidArgument);
+  // Out-of-range values are rejected, naming the key, instead of being
+  // clamped or reversing a bound.
+  const std::vector<std::pair<std::string, std::string>> out_of_range{
+      {"churn=-3", "churn"},       {"corrupt=7", "corrupt"},
+      {"blackout=1.5", "blackout"}, {"reset=-0.1", "reset"},
+      {"wrap=2", "wrap"},          {"skew=1.01", "skew"},
+      {"dup=-1", "dup"},           {"truncate=3", "truncate"},
+      {"fail=1.5", "fail"},        {"outage_h=0", "outage_h"},
+      {"outage_h=-2", "outage_h"}, {"blackout_h=0", "blackout_h"},
+      {"blackout_h=-1", "blackout_h"}, {"skew_s=-5", "skew_s"},
+      {"churn=0.1,corrupt=7", "corrupt"}};
+  for (const auto& [spec, key] : out_of_range) {
+    try {
+      (void)FaultPlan::parse(spec);
+      ADD_FAILURE() << spec << " was accepted";
+    } catch (const InvalidArgument& e) {
+      EXPECT_NE(std::string{e.what()}.find("'" + key + "'"), std::string::npos)
+          << spec << ": " << e.what();
+    }
+  }
+  // The bounds themselves are in range.
+  const auto edge = FaultPlan::parse("churn=0,fail=1,skew_s=0,outage_h=1e-3,blackout_h=0.5");
+  EXPECT_EQ(edge.churn_probability, 0.0);
+  EXPECT_EQ(edge.household_failure_probability, 1.0);
+  EXPECT_EQ(edge.max_clock_skew_s, 0.0);
 }
 
 TEST(FaultPlan, ParseRejectsHexSignsAndNonFiniteValues) {

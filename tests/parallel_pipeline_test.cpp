@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <cstring>
 #include <map>
-#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -28,7 +27,6 @@ namespace bblab {
 namespace {
 
 using measurement::CollectorKind;
-using measurement::HouseholdResult;
 using measurement::HouseholdTask;
 using measurement::PipelineToolkit;
 
@@ -74,32 +72,7 @@ struct PipelineFixture {
   }
 };
 
-void expect_identical(const HouseholdResult& a, const HouseholdResult& b,
-                      std::size_t household) {
-  ASSERT_EQ(a.truth.bins(), b.truth.bins()) << household;
-  for (std::size_t i = 0; i < a.truth.bins(); ++i) {
-    ASSERT_EQ(a.truth.down_bytes[i], b.truth.down_bytes[i]) << household;
-    ASSERT_EQ(a.truth.up_bytes[i], b.truth.up_bytes[i]) << household;
-    ASSERT_EQ(a.truth.bt_active_s[i], b.truth.bt_active_s[i]) << household;
-  }
-  ASSERT_EQ(a.series.size(), b.series.size()) << household;
-  for (std::size_t i = 0; i < a.series.size(); ++i) {
-    ASSERT_EQ(a.series.samples[i].time, b.series.samples[i].time) << household;
-    ASSERT_EQ(a.series.samples[i].down.bps(), b.series.samples[i].down.bps());
-    ASSERT_EQ(a.series.samples[i].up.bps(), b.series.samples[i].up.bps());
-    ASSERT_EQ(a.series.samples[i].bt_active, b.series.samples[i].bt_active);
-  }
-  ASSERT_EQ(a.summary.mean_down.bps(), b.summary.mean_down.bps()) << household;
-  ASSERT_EQ(a.summary.peak_down.bps(), b.summary.peak_down.bps()) << household;
-  ASSERT_EQ(a.summary.mean_down_no_bt.bps(), b.summary.mean_down_no_bt.bps());
-  ASSERT_EQ(a.summary.peak_down_no_bt.bps(), b.summary.peak_down_no_bt.bps());
-  ASSERT_EQ(a.summary.samples, b.summary.samples) << household;
-  ASSERT_EQ(a.summary.samples_no_bt, b.summary.samples_no_bt) << household;
-}
-
-/// Series-level faults on every household but no hard failures. An
-/// active plan makes every household keep its observed series, so the
-/// series comparisons below see real samples.
+/// Series-level faults on every household but no hard failures.
 faults::FaultPlan series_faults() {
   faults::FaultPlan plan;
   plan.churn_probability = 0.3;
@@ -109,44 +82,82 @@ faults::FaultPlan series_faults() {
   return plan;
 }
 
-/// The number of Dasu households (tasks i % 3 != 0) with a non-empty
-/// observed series.
-std::size_t dasu_series_count(const std::vector<HouseholdResult>& results) {
-  std::size_t n = 0;
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    if (i % 3 != 0 && !results[i].series.empty()) ++n;
+/// Every byte a shard contributes: records, upgrade pairs and the
+/// quarantine ledger.
+std::string serialize_shard(const dataset::ShardOutput& out) {
+  std::ostringstream os;
+  dataset::write_user_records(os, out.records);
+  dataset::write_upgrades(os, out.upgrades);
+  os << "qc admitted=" << out.qc.admitted << "\n";
+  for (const auto& row : out.qc.rows) {
+    os << row.index << "|" << quarantine_reason_label(row.reason) << "|" << row.raw
+       << "|" << row.detail << "\n";
   }
-  return n;
+  return os.str();
+}
+
+/// Simulate the first Dasu shard of `country` and the first FCC shard of
+/// `config`'s study, clean and under series_faults(), at pool sizes 1, 2
+/// and 8: each shard's output must be the same bytes at every pool size.
+/// Returns the clean pool-of-1 outputs for the caller's own checks.
+std::vector<dataset::ShardOutput> expect_shards_identical_across_pools(
+    dataset::StudyConfig config, const std::string& country) {
+  const market::World& world = market::World::builtin();
+  const dataset::StudyGenerator planner{world, config};
+  const auto markets = planner.build_markets();
+  const auto shards = planner.plan_shards(markets);
+  std::vector<dataset::ShardSpec> picked;
+  for (const auto kind : {dataset::ShardSpec::Kind::kDasu, dataset::ShardSpec::Kind::kFcc}) {
+    const auto it = std::find_if(shards.begin(), shards.end(), [&](const auto& spec) {
+      return spec.kind == kind &&
+             (kind == dataset::ShardSpec::Kind::kFcc || spec.country_code == country);
+    });
+    EXPECT_NE(it, shards.end());
+    if (it != shards.end()) picked.push_back(*it);
+  }
+
+  std::vector<dataset::ShardOutput> clean;
+  for (const bool faulted : {false, true}) {
+    if (faulted) config.faults = series_faults();
+    const dataset::StudyGenerator gen{world, config};
+    for (std::size_t k = 0; k < picked.size(); ++k) {
+      const auto& spec = picked[k];
+      core::ThreadPool pool1{1};
+      auto serial = gen.simulate_shard(spec, markets, pool1);
+      const auto bytes = serialize_shard(serial);
+      EXPECT_FALSE(serial.records.empty()) << spec.label();
+      EXPECT_TRUE(serial.qc.empty()) << spec.label();  // no hard failures
+      if (faulted) {
+        // The faults reached the records: the bytes differ from clean.
+        EXPECT_NE(bytes, serialize_shard(clean[k])) << spec.label();
+      }
+      for (const std::size_t threads : {2u, 8u}) {
+        core::ThreadPool pool{threads};
+        EXPECT_EQ(serialize_shard(gen.simulate_shard(spec, markets, pool)), bytes)
+            << spec.label() << " at " << threads << " threads"
+            << (faulted ? " under faults" : "");
+      }
+      if (!faulted) clean.push_back(std::move(serial));
+    }
+  }
+  return clean;
 }
 
 TEST(ParallelPipeline, ByteIdenticalAcrossThreadCounts) {
-  const PipelineFixture fx;
-  const auto tasks = fx.make_tasks(23);
-  const Rng base{2014};
-  const auto plan = series_faults();
-
-  // Clean runs compare summaries (Dasu households keep no series);
-  // faulted runs also compare every observed sample.
-  for (const bool faulted : {false, true}) {
-    const auto kit = fx.kit(faulted ? &plan : nullptr);
-    core::ThreadPool pool1{1};
-    const auto serial = measurement::parallel_simulate_households(kit, tasks, base, pool1);
-    ASSERT_EQ(serial.size(), tasks.size());
-    if (faulted) {
-      EXPECT_GE(dasu_series_count(serial), 10u);  // of 15 Dasu households
-    } else {
-      EXPECT_EQ(dasu_series_count(serial), 0u);
-    }
-    for (const std::size_t threads : {2u, 8u}) {
-      core::ThreadPool pool{threads};
-      const auto parallel =
-          measurement::parallel_simulate_households(kit, tasks, base, pool);
-      ASSERT_EQ(parallel.size(), serial.size());
-      for (std::size_t i = 0; i < serial.size(); ++i) {
-        expect_identical(serial[i], parallel[i], i);
-      }
-    }
-  }
+  dataset::StudyConfig config;
+  config.seed = 2014;
+  config.population_scale = 0.02;
+  config.window_days = 0.5;
+  config.fcc_users = 24;
+  config.fcc_window_days = 0.5;
+  config.first_year = 2011;
+  config.last_year = 2011;
+  config.upgrade_follow_share = 0.8;
+  const auto clean = expect_shards_identical_across_pools(config, "US");
+  ASSERT_EQ(clean.size(), 2u);
+  // The Dasu shard exercises the upgrade follow-up; FCC shards never do.
+  EXPECT_FALSE(clean[0].upgrades.empty());
+  EXPECT_TRUE(clean[1].upgrades.empty());
 }
 
 TEST(ParallelPipeline, FusedSummaryEqualsMaterializedSeries) {
@@ -173,73 +184,29 @@ TEST(ParallelPipeline, FusedSummaryEqualsMaterializedSeries) {
 }
 
 TEST(ParallelPipeline, ByteIdenticalUnderAdversarialCostSkew) {
-  // Property (work-stealing determinism): per-task cost skew dictates
-  // which workers steal which blocks, and none of that may reach the
-  // output. The batch alternates a few very heavy households (saturating
-  // BitTorrent users simulated over a long window) with swarms of
-  // near-idle ones, so static contiguous blocks are maximally unbalanced
-  // and the steal path actually runs at 2 and 8 threads.
-  const PipelineFixture fx;
-  Rng rng{424242};
-  std::vector<HouseholdTask> tasks;
-  for (std::size_t i = 0; i < 40; ++i) {
-    HouseholdTask t;
-    const bool heavy = i % 13 == 0;  // ~3 heavy tasks, unevenly placed
-    t.link.down = Rate::from_mbps(heavy ? 100.0 : rng.uniform(1.0, 4.0));
-    t.link.up = Rate::from_mbps(heavy ? 10.0 : 0.5);
-    t.link.rtt_ms = rng.uniform(10.0, 300.0);
-    t.link.loss = rng.uniform(0.0, 0.01);
-    t.workload.intensity = heavy ? 3.0 : 0.05;
-    t.workload.heavy_intensity = heavy ? 3.0 : 0.05;
-    t.workload.bt_sessions_per_day = heavy ? 6.0 : 0.0;
-    t.workload.phase_shift_hours = rng.normal(0.0, 1.5);
-    t.t0 = std::floor(rng.uniform(0.0, 300.0)) * kDay;
-    t.bins = heavy ? 2880 : 120;  // 24h vs 1h at 30s bins
-    t.bin_width_s = 30.0;
-    t.collector = i % 3 == 0 ? CollectorKind::kGateway : CollectorKind::kDasu;
-    t.stream_id = 5000 + i;
-    tasks.push_back(t);
-  }
-  const Rng base{2014};
-
-  const auto plan = series_faults();
-
-  // The clean run is the production path: Dasu summaries are written into
-  // each block's reused workspace while blocks are stolen. The faulted
-  // run also compares every observed sample.
-  for (const bool faulted : {false, true}) {
-    const auto kit = fx.kit(faulted ? &plan : nullptr);
-    core::ThreadPool pool1{1};
-    const auto serial = measurement::parallel_simulate_households(kit, tasks, base, pool1);
-    ASSERT_EQ(serial.size(), tasks.size());
-    if (faulted) {
-      EXPECT_GT(dasu_series_count(serial), 0u);
-    } else {
-      EXPECT_EQ(dasu_series_count(serial), 0u);
-    }
-    for (const std::size_t threads : {2u, 8u}) {
-      core::ThreadPool pool{threads};
-      const auto parallel =
-          measurement::parallel_simulate_households(kit, tasks, base, pool);
-      ASSERT_EQ(parallel.size(), serial.size());
-      for (std::size_t i = 0; i < serial.size(); ++i) {
-        expect_identical(serial[i], parallel[i], i);
-      }
-    }
-  }
-}
-
-TEST(ParallelPipeline, MatchesDirectSimulateHousehold) {
-  const PipelineFixture fx;
-  const auto tasks = fx.make_tasks(5);
-  const Rng base{7};
-  core::ThreadPool pool{4};
-  const auto batch =
-      measurement::parallel_simulate_households(fx.kit(), tasks, base, pool);
-  for (std::size_t i = 0; i < tasks.size(); ++i) {
-    Rng rng = base.fork(tasks[i].stream_id);
-    const auto direct = measurement::simulate_household(fx.kit(), tasks[i], rng);
-    expect_identical(direct, batch[i], i);
+  // Property (work-stealing determinism): per-household cost skew
+  // dictates which workers steal which blocks, and none of that may
+  // reach the output. Over full-day windows the few heavy households
+  // (BitTorrent, fast links) carry many times a light browser's traffic,
+  // and so many times its flows to simulate: contiguous blocks are
+  // unbalanced and the steal path runs at 2 and 8 threads.
+  dataset::StudyConfig config;
+  config.seed = 424242;
+  config.population_scale = 0.05;
+  config.window_days = 1.0;
+  config.fcc_users = 16;
+  config.fcc_window_days = 1.0;
+  config.first_year = 2011;
+  config.last_year = 2011;
+  const auto clean = expect_shards_identical_across_pools(config, "US");
+  ASSERT_EQ(clean.size(), 2u);
+  for (const auto& shard : clean) {
+    std::vector<double> bytes;
+    for (const auto& rec : shard.records) bytes.push_back(rec.usage.mean_down.bps());
+    std::sort(bytes.begin(), bytes.end());
+    ASSERT_FALSE(bytes.empty());
+    EXPECT_GT(bytes.back(), 5.0 * bytes[bytes.size() / 2])
+        << "the heaviest household should dwarf the median one";
   }
 }
 

@@ -1,6 +1,6 @@
 // Graceful-degradation properties of the fault-injected pipeline.
-// parallel_simulate_households does not isolate failures: an injected
-// household failure propagates. The generator quarantines it instead, its
+// simulate_household does not isolate failures: an injected household
+// failure propagates. The generator quarantines it instead, its
 // failure-rate threshold aborts a run that is mostly garbage, and the
 // whole degraded dataset, quarantine ledger included, stays bit-identical
 // across thread counts.
@@ -13,7 +13,6 @@
 
 #include "core/error.h"
 #include "core/rng.h"
-#include "core/thread_pool.h"
 #include "dataset/csv.h"
 #include "dataset/generator.h"
 #include "faults/fault_plan.h"
@@ -69,11 +68,11 @@ struct RobustnessFixture {
 TEST(Robustness, WithoutIsolationInjectedFailureIsFatal) {
   RobustnessFixture fx;
   fx.plan = faults::FaultPlan::parse("fail=1.0");
-  const auto tasks = fx.make_tasks(4);
-  core::ThreadPool pool{2};
-  EXPECT_THROW(measurement::parallel_simulate_households(fx.kit(), tasks,
-                                                         Rng{2014}, pool),
-               InjectedFault);
+  for (const HouseholdTask& task : fx.make_tasks(4)) {
+    Rng rng = Rng{2014}.fork(task.stream_id);
+    EXPECT_THROW((void)measurement::simulate_household(fx.kit(), task, rng),
+                 InjectedFault);
+  }
 }
 
 /// Serialize a dataset plus its QC ledger so byte-equality covers both.

@@ -18,7 +18,6 @@
 
 #include "core/hash.h"
 #include "dataset/generator.h"
-#include "measurement/pipeline.h"
 #include "store/cache.h"
 #include "store/fingerprint.h"
 
@@ -405,35 +404,6 @@ TEST(Fingerprint, KeysSimulationInputsNotParallelism) {
   const std::vector<std::string> codes{"US", "JP"};
   const auto small_world = world.subset(codes);
   EXPECT_NE(dataset_fingerprint(config, small_world), base);
-}
-
-TEST(Fingerprint, HouseholdTaskFingerprintIsFieldSensitive) {
-  const auto digest = [](const measurement::HouseholdTask& task) {
-    core::Hasher h;
-    measurement::fingerprint(h, task);
-    return h.digest();
-  };
-  measurement::HouseholdTask task;
-  task.bins = 100;
-  task.stream_id = 4;
-  const auto base = digest(task);
-  EXPECT_EQ(digest(task), base);
-
-  auto stream = task;
-  stream.stream_id = 5;
-  EXPECT_NE(digest(stream), base);
-
-  auto load = task;
-  load.workload.intensity += 0.5;
-  EXPECT_NE(digest(load), base);
-
-  auto link = task;
-  link.link.down = Rate::from_mbps(99);
-  EXPECT_NE(digest(link), base);
-
-  auto collector = task;
-  collector.collector = measurement::CollectorKind::kGateway;
-  EXPECT_NE(digest(collector), base);
 }
 
 class CacheTest : public ::testing::Test {
