@@ -9,7 +9,9 @@
 //   BM_ViewConfig      config-only decode through the footer index —
 //                      the fingerprint probe the serve LRU issues per
 //                      request, without touching the record sections
-//   BM_CacheHit        fingerprint lookup + load through ArtifactCache
+//   BM_CacheHit        a full hit through ArtifactCache: generate() with
+//                      every shard already published (markets rebuilt,
+//                      each segment verified and merged)
 //
 // Arg is population scale in thousandths: 100 -> scale 0.1 (~7k simulated
 // household-windows across the three study years), 1600 -> scale 1.6
@@ -25,7 +27,6 @@
 #include "dataset/generator.h"
 #include "store/bbs.h"
 #include "store/cache.h"
-#include "store/fingerprint.h"
 
 namespace {
 
@@ -148,18 +149,12 @@ BENCHMARK(BM_ViewConfig)->Arg(100)->Arg(1600)->Unit(benchmark::kMillisecond);
 
 void BM_CacheHit(benchmark::State& state) {
   const double scale = static_cast<double>(state.range(0)) / 1000.0;
-  const auto& ds = dataset_at(scale);
   const store::ArtifactCache cache{bench_dir() / "cache"};
-  const auto key =
-      store::dataset_fingerprint(store_config(scale), market::World::builtin());
-  cache.store(key, ds);
+  const dataset::StudyGenerator gen{market::World::builtin(), store_config(scale)};
+  const auto ds = gen.generate({.store = &cache});  // publishes every shard
   for (auto _ : state) {
-    auto hit = cache.load(key);
-    if (!hit) {
-      state.SkipWithError("cache entry vanished");
-      break;
-    }
-    benchmark::DoNotOptimize(*hit);
+    const auto hit = gen.generate({.store = &cache});
+    benchmark::DoNotOptimize(hit);
   }
   state.counters["household_windows"] =
       static_cast<double>(household_windows(ds));

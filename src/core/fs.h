@@ -1,7 +1,7 @@
 // Filesystem indirection for crash-safe storage.
 //
 // Every *mutating* filesystem operation the storage layer performs
-// (snapshot publish, cache publish, checkpoint manifests) goes through a
+// (snapshot publish, cache segment publish) goes through a
 // FileSystem so that the fault-injection harness (src/faults/fs_faults.h)
 // can deterministically interpose ENOSPC, EIO, short/torn writes, and
 // crash-before-rename at chosen operation indices — the storage-layer

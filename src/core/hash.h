@@ -6,8 +6,8 @@
 // does not guarantee. Two self-contained functions cover the two jobs:
 //
 //   * Hasher / hash_bytes: a streaming FNV-1a core with a splitmix64
-//     avalanche finalizer, for fingerprints, cache keys and manifest
-//     lines. It consumes one byte at a time through one serial multiply
+//     avalanche finalizer, for fingerprints and cache keys. It
+//     consumes one byte at a time through one serial multiply
 //     chain (well under 1 GB/s), which is fine for the short, typed
 //     inputs it sees. Byte-order independent (input is consumed as bytes,
 //     multi-byte values are serialized little-endian first), and every

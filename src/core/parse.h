@@ -1,6 +1,6 @@
 // Whole-token number parsing for every number read from untrusted text:
 // command-line values, environment overrides (BBLAB_CACHE_TMP_TTL_S),
-// fault specs, checkpoint MANIFEST lines and user-records CSV fields.
+// fault specs and user-records CSV fields.
 // The `source_scan` test keeps it the only one: it fails on any std::sto*,
 // strto* or ato* call under src/ or tools/, since those skip leading
 // blanks, accept '+' and hex, and wrap negatives into unsigned results.

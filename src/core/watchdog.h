@@ -7,7 +7,7 @@
 //
 //   - Deadline: a cheap polled clock. Shard bodies check expired()
 //     between households (each is microseconds-to-milliseconds of work)
-//     and throw core::DeadlineExceeded, which the checkpoint driver
+//     and throw core::DeadlineExceeded, which StudyGenerator::generate()
 //     converts into a quarantined shard — the run degrades, it never
 //     wedges on a cooperative shard.
 //   - Watchdog: a background thread that scans armed deadlines and

@@ -29,14 +29,6 @@ using market::PlanCatalog;
 using market::ServicePlan;
 using netsim::AccessLink;
 
-std::vector<const UserRecord*> StudyDataset::dasu_in(const std::string& country) const {
-  std::vector<const UserRecord*> out;
-  for (const auto& r : dasu) {
-    if (r.country_code == country) out.push_back(&r);
-  }
-  return out;
-}
-
 void StudyConfig::fingerprint(core::Hasher& hasher) const {
   hasher.update_string("dataset::StudyConfig");
   hasher.update_u64(seed);
@@ -272,23 +264,6 @@ void merge_shard_output(StudyDataset& ds, const ShardSpec& spec, ShardOutput&& o
                      std::make_move_iterator(out.upgrades.begin()),
                      std::make_move_iterator(out.upgrades.end()));
   ds.qc.merge(out.qc);
-}
-
-void check_household_failure_rate(const StudyDataset& ds) {
-  if (ds.qc.empty()) return;
-  log_warn("generation quarantine: ", ds.qc.summary());
-  const std::size_t household_rows =
-      ds.qc.rows.size() - ds.qc.count(QuarantineReason::kIoFailure) -
-      ds.qc.count(QuarantineReason::kDeadlineExceeded);
-  const std::size_t seen = ds.qc.admitted + household_rows;
-  const double rate =
-      seen == 0 ? 0.0 : static_cast<double>(household_rows) / static_cast<double>(seen);
-  if (rate > ds.config.max_household_failure_rate) {
-    throw AnalysisError{"household failure rate " + std::to_string(rate) +
-                        " exceeds max " +
-                        std::to_string(ds.config.max_household_failure_rate) + " (" +
-                        ds.qc.summary() + ")"};
-  }
 }
 
 std::vector<ShardSpec> StudyGenerator::plan_shards(
@@ -594,8 +569,40 @@ ShardOutput StudyGenerator::simulate_shard(
   return out;
 }
 
-StudyDataset StudyGenerator::generate() const {
+namespace {
+
+/// Throw AnalysisError when more than config.max_household_failure_rate
+/// of the simulated households failed. Only household rows count: a shard
+/// quarantined whole (kDeadlineExceeded) is a run-level event that is
+/// reported on its own and cannot trip this tripwire.
+void check_household_failure_rate(const StudyDataset& ds) {
+  if (ds.qc.empty()) return;
+  log_warn("generation quarantine: ", ds.qc.summary());
+  const std::size_t household_rows =
+      ds.qc.rows.size() - ds.qc.count(QuarantineReason::kDeadlineExceeded);
+  const std::size_t seen = ds.qc.admitted + household_rows;
+  const double rate =
+      seen == 0 ? 0.0 : static_cast<double>(household_rows) / static_cast<double>(seen);
+  if (rate > ds.config.max_household_failure_rate) {
+    throw AnalysisError{"household failure rate " + std::to_string(rate) +
+                        " exceeds max " +
+                        std::to_string(ds.config.max_household_failure_rate) + " (" +
+                        ds.qc.summary() + ")"};
+  }
+}
+
+}  // namespace
+
+StudyDataset StudyGenerator::generate(const GenerateOptions& options) const {
   OBS_SPAN("dataset.generate");
+  // Handles up front: the report's shard section exists (all zeros) even
+  // when a run reuses every shard or fails early.
+  static obs::Counter& planned_c = obs::Registry::instance().counter("shards.planned");
+  static obs::Counter& reused_c = obs::Registry::instance().counter("shards.reused");
+  static obs::Counter& simulated_c =
+      obs::Registry::instance().counter("shards.simulated");
+  static obs::Counter& quarantined_c =
+      obs::Registry::instance().counter("shards.quarantined");
   StudyDataset ds;
   ds.config = config_;
   core::ThreadPool pool{config_.threads};
@@ -606,12 +613,51 @@ StudyDataset StudyGenerator::generate() const {
   }
   log_debug("simulating households on ", pool.size(), " threads");
 
-  for (const ShardSpec& spec : plan_shards(ds.markets)) {
-    merge_shard_output(ds, spec, simulate_shard(spec, ds.markets, pool));
+  // The watchdog thread exists only for runs that set a deadline: it
+  // reports a shard that overruns without reaching its next poll point.
+  std::optional<core::Watchdog> watchdog;
+  if (options.shard_deadline_s > 0.0) watchdog.emplace();
+
+  const std::vector<ShardSpec> shards = plan_shards(ds.markets);
+  planned_c.add(shards.size());
+  std::size_t reused = 0;
+  std::size_t quarantined = 0;
+  for (const ShardSpec& spec : shards) {
+    if (options.store != nullptr) {
+      if (auto hit = options.store->load(config_, world_, spec)) {
+        merge_shard_output(ds, spec, *std::move(hit));
+        reused_c.add();
+        ++reused;
+        continue;
+      }
+    }
+    ShardOutput out;
+    try {
+      if (watchdog) {
+        const core::Deadline deadline{options.shard_deadline_s};
+        const auto guard = watchdog->watch(spec.label(), deadline);
+        out = simulate_shard(spec, ds.markets, pool, &deadline);
+      } else {
+        out = simulate_shard(spec, ds.markets, pool);
+      }
+    } catch (const DeadlineExceeded& e) {
+      log_warn(spec.label(), " quarantined: ", e.what());
+      ds.qc.add(spec.index, QuarantineReason::kDeadlineExceeded, spec.label(),
+                e.what());
+      quarantined_c.add();
+      ++quarantined;
+      continue;
+    }
+    simulated_c.add();
+    if (options.store != nullptr) options.store->publish(config_, world_, spec, out);
+    merge_shard_output(ds, spec, std::move(out));
   }
 
   check_household_failure_rate(ds);
 
+  log_info("shards: ", shards.size(), " planned, ", reused, " reused, ",
+           shards.size() - reused - quarantined, " simulated, ", quarantined,
+           " quarantined");
   log_info("dataset: ", ds.dasu.size(), " dasu users, ", ds.fcc.size(),
            " fcc users, ", ds.upgrades.size(), " upgrade pairs");
   return ds;

@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -117,17 +118,15 @@ struct StudyDataset {
   std::map<std::string, MarketSnapshot> markets;  ///< by country code
   /// Households quarantined during generation (index = user id).
   core::QuarantineReport qc;
-
-  [[nodiscard]] std::vector<const UserRecord*> dasu_in(const std::string& country) const;
 };
 
 /// One independently simulatable unit of a study run: all households of
 /// one (country, study-year) cross-section on one instrument. Shards are
-/// the checkpoint/restart granularity — each depends only on config.seed
-/// and read-only market state (per-user RNG substreams are forked from a
-/// reconstructed root, never from a shared mutable stream), so any subset
-/// can be re-simulated in any order and merged by `index` into a dataset
-/// byte-identical to the monolithic run.
+/// the unit of reuse (ShardStore) and of deadlines — each depends only on
+/// config.seed and read-only market state (per-user RNG substreams are
+/// forked from a reconstructed root, never from a shared mutable stream),
+/// so any subset can be re-simulated in any order, in any process, and
+/// merged by `index` into a dataset byte-identical to the monolithic run.
 struct ShardSpec {
   enum class Kind : std::uint8_t { kDasu, kFcc };
 
@@ -149,22 +148,50 @@ struct ShardOutput {
   core::QuarantineReport qc;
 };
 
-/// Throw AnalysisError when more than config.max_household_failure_rate
-/// of the simulated households failed. Only household rows count: a shard
-/// quarantined whole (kIoFailure, kDeadlineExceeded) is a run-level event
-/// that is reported on its own and cannot trip this tripwire.
-void check_household_failure_rate(const StudyDataset& ds);
-
 /// Append `out` to the dataset in the slot `spec` describes. Calling this
 /// for every planned shard in index order reproduces generate() exactly.
 void merge_shard_output(StudyDataset& ds, const ShardSpec& spec, ShardOutput&& out);
+
+/// Persistent shard outputs that generate() reuses across runs.
+/// store::ArtifactCache is the implementation; the interface lives here so
+/// the generator needs no storage code.
+class ShardStore {
+ public:
+  /// The output an earlier run of (config, world) published for `spec`,
+  /// or nullopt when there is none that verifies.
+  [[nodiscard]] virtual std::optional<ShardOutput> load(
+      const StudyConfig& config, const market::World& world,
+      const ShardSpec& spec) const = 0;
+
+  /// Offer a freshly simulated shard for reuse. Failing to publish is not
+  /// an error of the run: the implementation logs and counts it, and the
+  /// shard is merged all the same.
+  virtual void publish(const StudyConfig& config, const market::World& world,
+                       const ShardSpec& spec, const ShardOutput& out) const = 0;
+
+ protected:
+  /// Not owned through this interface, so not deleted through it.
+  ~ShardStore() = default;
+};
+
+struct GenerateOptions {
+  /// Reuse and publish shards here; null = simulate every shard, no I/O.
+  const ShardStore* store{nullptr};
+  /// Per-shard wall-clock budget in seconds; <= 0 disables. An overrun
+  /// shard is quarantined whole (kDeadlineExceeded, index = shard index)
+  /// and the dataset is partial.
+  double shard_deadline_s{0.0};
+};
 
 class StudyGenerator {
  public:
   StudyGenerator(const market::World& world, StudyConfig config);
 
-  /// Generate the full dataset. Deterministic in config.seed.
-  [[nodiscard]] StudyDataset generate() const;
+  /// Generate the full dataset: every planned shard in index order, each
+  /// merged from a verified store hit or simulated (and then published).
+  /// Deterministic in config.seed; a run with no quarantined shard is
+  /// byte-identical with or without a store, at any thread count.
+  [[nodiscard]] StudyDataset generate(const GenerateOptions& options = {}) const;
 
   /// Build only the market snapshots, one country per pool task. Each
   /// country forks its own stream from a root seeded with config.seed, so

@@ -28,13 +28,6 @@ struct ServicePlan {
   AccessTech tech{AccessTech::kDsl};
   bool dedicated{false};            ///< non-shared line (Afghanistan case, §6)
 
-  /// Effective $/Mbps at this plan's capacity, a coarse value-for-money
-  /// indicator used in diagnostics (the market-level upgrade cost uses a
-  /// regression across plans instead).
-  [[nodiscard]] double price_per_mbps() const {
-    return download.mbps() > 0 ? monthly_price.dollars() / download.mbps() : 0.0;
-  }
-
   [[nodiscard]] std::string to_string() const;
 };
 

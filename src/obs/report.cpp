@@ -262,7 +262,7 @@ void write_summary(std::ostream& out) {
           std::chrono::steady_clock::now() - process_epoch()}
           .count();
 
-  char line[256];
+  char line[384];
   std::snprintf(line, sizeof line, "[obs] wall %.1f ms | peak rss %" PRIu64 " kB\n",
                 wall_ms, peak_rss_kb());
   out << line;
@@ -282,20 +282,16 @@ void write_summary(std::ostream& out) {
 
   std::snprintf(line, sizeof line,
                 "[obs] shards: planned %" PRIu64 ", reused %" PRIu64
-                ", simulated %" PRIu64 ", quarantined %" PRIu64 "\n",
-                counter_or_zero(snap, "checkpoint.shards_planned"),
-                counter_or_zero(snap, "checkpoint.shards_reused"),
-                counter_or_zero(snap, "checkpoint.shards_simulated"),
-                counter_or_zero(snap, "checkpoint.shards_quarantined"));
-  out << line;
-
-  std::snprintf(line, sizeof line,
-                "[obs] cache: hits %" PRIu64 ", misses %" PRIu64
-                ", evictions %" PRIu64 " | fs: read %" PRIu64 " B, wrote %" PRIu64
-                " B\n",
-                counter_or_zero(snap, "cache.hits"),
-                counter_or_zero(snap, "cache.misses"),
-                counter_or_zero(snap, "cache.evictions"),
+                ", simulated %" PRIu64 ", quarantined %" PRIu64
+                ", published %" PRIu64 " (failed %" PRIu64 "), rejected %" PRIu64
+                " | fs: read %" PRIu64 " B, wrote %" PRIu64 " B\n",
+                counter_or_zero(snap, "shards.planned"),
+                counter_or_zero(snap, "shards.reused"),
+                counter_or_zero(snap, "shards.simulated"),
+                counter_or_zero(snap, "shards.quarantined"),
+                counter_or_zero(snap, "shards.published"),
+                counter_or_zero(snap, "shards.publish_failed"),
+                counter_or_zero(snap, "shards.rejected"),
                 counter_or_zero(snap, "fs.bytes_read"),
                 counter_or_zero(snap, "fs.bytes_written"));
   out << line;

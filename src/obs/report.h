@@ -50,7 +50,7 @@ void write_run_report(std::ostream& out, const std::string& command,
                       int exit_code);
 
 /// A few stderr-style headline lines ("[obs] phases: ...", "[obs]
-/// cache: ..."), for the CLI's end-of-run summary.
+/// shards: ..."), for the CLI's end-of-run summary.
 void write_summary(std::ostream& out);
 
 /// Forget recorded phases. Test hygiene only.

@@ -1,45 +1,67 @@
-// Content-addressed simulation artifact cache.
+// Content-addressed store of simulated shards.
 //
 // Simulating a full study panel takes seconds to minutes; loading its
-// snapshot takes milliseconds. The cache closes that loop: datasets are
-// stored as .bbs snapshots named by their generation fingerprint
-// (store::dataset_fingerprint), so any CLI run with `--cache` that asks
-// for a (config, world) pair someone already simulated gets the stored
-// bytes back — bit-identical to a fresh run at any thread count, because
-// the fingerprint canonicalizes away parallelism and the snapshot format
-// is lossless.
+// snapshot takes milliseconds. The cache closes that loop one shard at a
+// time: StudyGenerator::generate() asks it for every planned shard
+// (dataset::ShardStore), merges each verified hit, and publishes each
+// shard it had to simulate. A run is keyed by its generation fingerprint
+// (store::dataset_fingerprint), so any run that asks for a (config, world)
+// pair someone already simulated — in full, in part, or up to the moment
+// it was killed — re-simulates only what is missing, and the merged
+// dataset is bit-identical to a fresh run at any thread count: the
+// fingerprint canonicalizes away parallelism and .bbs is lossless.
+//
+// Layout under the root:
+//
+//   objects/<2 hex>/<30 hex>/shard-00042.bbs   one published segment
+//   objects/**/*.tmp                           residue of a killed writer
+//
+// Every segment is a self-certifying .bbs snapshot holding one shard's
+// records, upgrades and QC ledger beside the run's config:
+//
+//   - published atomically (fsynced process-unique temp file + rename),
+//     then read back and verified, and retried with seeded backoff;
+//   - on load it must pass its checksums, its embedded config must
+//     fingerprint to the run key, and its contents must name the shard
+//     (ids, instrument, country and year; see read_segment in cache.cpp).
 //
 // Robustness policy: a cache must never be able to make a run wrong.
-// A corrupt or truncated entry (detected by the snapshot checksums) is
-// warned about, removed, and treated as a miss; concurrent writers are
-// safe because snapshots are published by atomic rename.
+// A segment that fails verification is warned about, removed, and
+// re-simulated; a shard whose publication fails (after retries) is
+// merged all the same and only costs the next run its re-simulation;
+// stale temp files are swept when the cache is opened.
 #pragma once
 
+#include <cstddef>
 #include <filesystem>
 #include <optional>
-#include <string>
 #include <vector>
 
+#include "core/fs.h"
+#include "core/retry.h"
 #include "dataset/generator.h"
 #include "store/fingerprint.h"
 
 namespace bblab::store {
 
-/// One cache entry as listed by `bblab cache ls`.
+/// One cached run as listed by `bblab cache ls`.
 struct CacheEntry {
   Fingerprint key;
-  std::filesystem::path path;
+  std::filesystem::path path;  ///< the run's segment directory
   std::uintmax_t size_bytes{0};
-  /// Last time the entry was stored or served a hit. Tracked as the
-  /// entry file's mtime (load() bumps it on every hit), so it survives
-  /// across processes with no sidecar metadata to desynchronize.
+  /// Last time a segment of the run was published or served. Tracked as
+  /// the newest segment mtime (load() bumps it on every hit), so it
+  /// survives across processes with no sidecar metadata to desynchronize.
   std::filesystem::file_time_type last_access{};
 };
 
-class ArtifactCache {
+class ArtifactCache final : public dataset::ShardStore {
  public:
-  /// Cache rooted at an explicit directory (created lazily on store()).
-  explicit ArtifactCache(std::filesystem::path root);
+  /// Cache rooted at an explicit directory (created lazily on publish).
+  /// Publication retries transient I/O under `retry` and writes through
+  /// `fs` (null = core::FileSystem::instance()).
+  explicit ArtifactCache(std::filesystem::path root, core::RetryPolicy retry = {},
+                         core::FileSystem* fs = nullptr);
 
   /// Resolve the default cache root: $BBLAB_CACHE_DIR, else
   /// $XDG_CACHE_HOME/bblab, else $HOME/.cache/bblab, else ./.bblab_cache.
@@ -47,36 +69,40 @@ class ArtifactCache {
 
   [[nodiscard]] const std::filesystem::path& root() const { return root_; }
 
-  /// Path an entry for `key` would live at (objects/<2 hex>/<30 hex>.bbs;
+  /// Directory holding run `key`'s segments (objects/<2 hex>/<30 hex>;
   /// the two-digit fan-out keeps directories small at scale).
-  [[nodiscard]] std::filesystem::path entry_path(const Fingerprint& key) const;
+  [[nodiscard]] std::filesystem::path run_dir(const Fingerprint& key) const;
 
-  /// Load the dataset for `key`. Returns nullopt on a miss. A present but
-  /// unreadable entry (corruption, truncation, version skew) is reported
-  /// to stderr, deleted, and treated as a miss — never propagated.
-  [[nodiscard]] std::optional<dataset::StudyDataset> load(
-      const Fingerprint& key,
-      const market::World& world = market::World::builtin()) const;
+  /// Path of shard `index`'s segment in run `key`.
+  [[nodiscard]] std::filesystem::path segment_path(const Fingerprint& key,
+                                                   std::size_t index) const;
 
-  /// Store `ds` under `key` (atomic: temp file + rename). Returns the
-  /// entry path.
-  std::filesystem::path store(const Fingerprint& key,
-                              const dataset::StudyDataset& ds) const;
+  /// The verified segment of `spec` for (config, world), or nullopt. A
+  /// present segment that fails verification is reported, deleted and
+  /// treated as absent — never propagated.
+  [[nodiscard]] std::optional<dataset::ShardOutput> load(
+      const dataset::StudyConfig& config, const market::World& world,
+      const dataset::ShardSpec& spec) const override;
 
-  /// All entries, sorted by key for stable `cache ls` output. Files that
-  /// do not look like cache entries are ignored.
+  /// Publish `out` as `spec`'s segment. I/O failures that outlast the
+  /// retry policy are logged and counted, not thrown.
+  void publish(const dataset::StudyConfig& config, const market::World& world,
+               const dataset::ShardSpec& spec,
+               const dataset::ShardOutput& out) const override;
+
+  /// All runs, sorted by key for stable `cache ls` output. Directories
+  /// that do not look like run directories are ignored.
   [[nodiscard]] std::vector<CacheEntry> list() const;
 
-  /// Remove one entry; true if it existed.
+  /// Remove one run; true if it existed.
   bool remove(const Fingerprint& key) const;
 
-  /// Remove every entry; returns how many were removed.
+  /// Remove every run; returns how many were removed.
   std::size_t clear() const;
 
-  /// Evict least-recently-accessed entries until the cache's total size
-  /// is at most `max_bytes`. Returns how many entries were removed.
-  /// Best-effort under concurrency: an entry that disappears mid-trim is
-  /// simply not counted.
+  /// Evict least-recently-accessed runs until the cache's total size is
+  /// at most `max_bytes`. Returns how many runs were removed. Best-effort
+  /// under concurrency: a run that disappears mid-trim is not counted.
   std::size_t trim(std::uintmax_t max_bytes) const;
 
   /// Remove `*.tmp` residue under objects/ left by writers that died
@@ -88,6 +114,8 @@ class ArtifactCache {
 
  private:
   std::filesystem::path root_;
+  core::RetryPolicy retry_;
+  core::FileSystem* fs_;
 };
 
 }  // namespace bblab::store

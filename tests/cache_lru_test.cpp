@@ -1,5 +1,5 @@
-// LRU semantics of the artifact cache: hits refresh last-access, and
-// `trim` evicts oldest-accessed entries first until under budget.
+// LRU semantics of the artifact cache: hits refresh a run's last access,
+// and `trim` evicts the oldest-accessed runs first until under budget.
 #include "store/cache.h"
 
 #include <gtest/gtest.h>
@@ -16,14 +16,20 @@
 namespace bblab::store {
 namespace {
 
-dataset::StudyDataset tiny_dataset(std::uint64_t seed) {
+dataset::StudyConfig tiny_config(std::uint64_t seed) {
   dataset::StudyConfig config;
   config.seed = seed;
   config.population_scale = 0.005;
   config.window_days = 0.1;
   config.fcc_users = 10;
   config.last_year = config.first_year;
-  return dataset::StudyGenerator{market::World::builtin(), config}.generate();
+  return config;
+}
+
+/// generate() the dataset for `seed` through the cache.
+dataset::StudyDataset run(const ArtifactCache& cache, std::uint64_t seed) {
+  return dataset::StudyGenerator{market::World::builtin(), tiny_config(seed)}.generate(
+      {.store = &cache});
 }
 
 class CacheLruTest : public ::testing::Test {
@@ -38,21 +44,35 @@ class CacheLruTest : public ::testing::Test {
     std::filesystem::remove_all(root_, ec);
   }
 
-  /// Store a dataset generated from `seed`; returns its fingerprint.
-  Fingerprint put(const ArtifactCache& cache, std::uint64_t seed) {
-    const auto ds = tiny_dataset(seed);
-    const auto key = dataset_fingerprint(ds.config, market::World::builtin());
-    cache.store(key, ds);
-    return key;
+  /// Publish the run for `seed`; returns its fingerprint.
+  static Fingerprint put(const ArtifactCache& cache, std::uint64_t seed) {
+    (void)run(cache, seed);
+    return dataset_fingerprint(tiny_config(seed), market::World::builtin());
   }
 
-  /// Backdate an entry's mtime so access ordering is unambiguous without
-  /// sleeping through filesystem timestamp granularity.
+  /// Backdate every segment of a run so access ordering is unambiguous
+  /// without sleeping through filesystem timestamp granularity.
   static void age(const ArtifactCache& cache, const Fingerprint& key,
                   std::chrono::seconds by) {
-    const auto path = cache.entry_path(key);
-    std::filesystem::last_write_time(
-        path, std::filesystem::last_write_time(path) - by);
+    for (const auto& f : std::filesystem::directory_iterator{cache.run_dir(key)}) {
+      std::filesystem::last_write_time(f.path(),
+                                       std::filesystem::last_write_time(f.path()) - by);
+    }
+  }
+
+  static std::uintmax_t size_of(const ArtifactCache& cache, const Fingerprint& key) {
+    for (const auto& e : cache.list()) {
+      if (e.key == key) return e.size_bytes;
+    }
+    return 0;
+  }
+
+  static std::filesystem::file_time_type last_access(const ArtifactCache& cache,
+                                                     const Fingerprint& key) {
+    for (const auto& e : cache.list()) {
+      if (e.key == key) return e.last_access;
+    }
+    return {};
   }
 
   std::filesystem::path root_;
@@ -62,16 +82,17 @@ TEST_F(CacheLruTest, LoadBumpsLastAccess) {
   const ArtifactCache cache{root_};
   const auto key = put(cache, 1);
   age(cache, key, std::chrono::seconds{3600});
-  const auto before = std::filesystem::last_write_time(cache.entry_path(key));
+  const auto before = last_access(cache, key);
 
-  ASSERT_TRUE(cache.load(key).has_value());
-  const auto after = std::filesystem::last_write_time(cache.entry_path(key));
+  (void)run(cache, 1);  // a full hit
+  const auto after = last_access(cache, key);
   EXPECT_GT(after, before);
 
-  // list() reports the refreshed access time.
+  // list() reports the refreshed access time of the one run.
   const auto entries = cache.list();
   ASSERT_EQ(entries.size(), 1u);
   EXPECT_EQ(entries[0].last_access, after);
+  EXPECT_EQ(entries[0].path, cache.run_dir(key));
 }
 
 TEST_F(CacheLruTest, TrimEvictsOldestAccessFirst) {
@@ -84,15 +105,12 @@ TEST_F(CacheLruTest, TrimEvictsOldestAccessFirst) {
   age(cache, c, std::chrono::seconds{200});
   age(cache, a, std::chrono::seconds{100});
 
-  const auto size_of = [&](const Fingerprint& k) {
-    return std::filesystem::file_size(cache.entry_path(k));
-  };
-  // Budget for exactly the two most recently accessed entries.
-  const auto budget = size_of(a) + size_of(c);
+  // Budget for exactly the two most recently accessed runs.
+  const auto budget = size_of(cache, a) + size_of(cache, c);
   EXPECT_EQ(cache.trim(budget), 1u);
-  EXPECT_FALSE(std::filesystem::exists(cache.entry_path(b)));
-  EXPECT_TRUE(std::filesystem::exists(cache.entry_path(a)));
-  EXPECT_TRUE(std::filesystem::exists(cache.entry_path(c)));
+  EXPECT_FALSE(std::filesystem::exists(cache.run_dir(b)));
+  EXPECT_TRUE(std::filesystem::exists(cache.run_dir(a)));
+  EXPECT_TRUE(std::filesystem::exists(cache.run_dir(c)));
 }
 
 TEST_F(CacheLruTest, HitProtectsEntryFromTrim) {
@@ -102,12 +120,12 @@ TEST_F(CacheLruTest, HitProtectsEntryFromTrim) {
   age(cache, a, std::chrono::seconds{300});
   age(cache, b, std::chrono::seconds{200});
   // `a` is oldest — but a hit refreshes it, so trim takes `b` instead.
-  ASSERT_TRUE(cache.load(a).has_value());
+  (void)run(cache, 1);
 
-  const auto budget = std::filesystem::file_size(cache.entry_path(a));
+  const auto budget = size_of(cache, a);
   EXPECT_EQ(cache.trim(budget), 1u);
-  EXPECT_TRUE(std::filesystem::exists(cache.entry_path(a)));
-  EXPECT_FALSE(std::filesystem::exists(cache.entry_path(b)));
+  EXPECT_TRUE(std::filesystem::exists(cache.run_dir(a)));
+  EXPECT_FALSE(std::filesystem::exists(cache.run_dir(b)));
 }
 
 TEST_F(CacheLruTest, TrimWithinBudgetIsANoOp) {

@@ -4,7 +4,7 @@
 # out-of-range numeric value, subcommand missing its argument — prints the
 # usage text to stderr, prints NOTHING to stdout, and exits 2 before any
 # work starts (no dataset, no thread pool, no output directory, no cache
-# change).
+# change). A run that loses shards to --deadline exits 4 instead.
 #
 # --threads is only ever given values that bblab rejects: an accepted large
 # value would start that many threads.
@@ -56,8 +56,8 @@ check "cat no path"             "$BBLAB" cat
 check "cache no subcommand"     "$BBLAB" cache
 check "cache bad subcommand"    "$BBLAB" cache frobnicate
 check "cache rm no key"         "$BBLAB" cache rm
-check "checkpoint missing dir"  "$BBLAB" generate --checkpoint
-check "resume sans checkpoint"  "$BBLAB" generate --resume
+check "checkpoint is unknown"   "$BBLAB" generate --checkpoint "$WORK/ckpt"
+check "resume is unknown"       "$BBLAB" generate --resume
 check "deadline missing value"  "$BBLAB" generate --deadline
 check "retries zero"            "$BBLAB" generate --retries 0
 check "fs-faults missing spec"  "$BBLAB" generate --fs-faults
@@ -89,6 +89,8 @@ check "deadline negative"       "$BBLAB" generate --out "$NEVER" --deadline -1
 check "deadline nan"            "$BBLAB" generate --out "$NEVER" --deadline nan
 check "deadline infinite"       "$BBLAB" generate --out "$NEVER" --deadline inf
 check "deadline suffix"         "$BBLAB" generate --out "$NEVER" --deadline 5s
+check "faults unknown key"      "$BBLAB" generate --out "$NEVER" --faults bogus=1
+check "faults out of range"     "$BBLAB" generate --out "$NEVER" --faults churn=-3
 check "threads trailing garbage" "$BBLAB" generate --out "$NEVER" --scale 0.01x --threads 1x
 check "threads garbage alone"   "$BBLAB" generate --out "$NEVER" --threads 1x
 check "threads not a number"    "$BBLAB" generate --out "$NEVER" --threads abc
@@ -101,7 +103,7 @@ check "retries negative"        "$BBLAB" generate --out "$NEVER" --retries -2
 check "retries overflow int"    "$BBLAB" generate --out "$NEVER" --retries 2147483648
 check "max-open-bytes suffix"   timeout 30 "$BBLAB" serve --socket "$WORK/s.sock" --max-open-bytes 10GB
 check "max-open-bytes overflow" timeout 30 "$BBLAB" serve --socket "$WORK/s.sock" --max-open-bytes 99999999999999999999
-if [ -e "$NEVER" ] || [ -e "$WORK/s.sock" ]; then
+if [ -e "$NEVER" ] || [ -e "$WORK/s.sock" ] || [ -e "$WORK/ckpt" ]; then
   echo "FAIL: a rejected invocation created output before exiting"
   fails=1
 fi
@@ -121,6 +123,20 @@ if "$BBLAB" generate --cache --seed 5 --scale 0.01 --days 0.1 --threads 1 \
   fi
 else
   echo "FAIL: could not populate a cache entry for the trim checks"
+  fails=1
+fi
+
+# --deadline needs no cache: on one thread every shard of two or more
+# households overruns 0.1 ms, is quarantined, and the run exits 4.
+"$BBLAB" generate --scale 0.05 --days 0.5 --threads 1 --deadline 0.0001 --qc-report \
+  --out "$WORK/late" >/dev/null 2>"$WORK/late.err"
+code=$?
+if [ "$code" -ne 4 ]; then
+  echo "FAIL: generate --deadline 0.0001 without a cache: exit code $code, want 4"
+  fails=1
+fi
+if ! grep -q "deadline-exceeded" "$WORK/late.err"; then
+  echo "FAIL: generate --deadline 0.0001: the QC report lists no deadline-exceeded row"
   fails=1
 fi
 

@@ -1,11 +1,13 @@
 #!/usr/bin/env bash
-# Crash/resume acceptance check for the checkpointed execution layer:
-# SIGKILL the generator at randomized filesystem-operation indices (the
-# kill@N fault fires mid-write, leaving torn segments and stale tmp
-# files), resume, and demand the final dataset be byte-identical — by
-# md5, at 1 / 2 / 8 threads — to an uninterrupted run. Also checks the
-# injected-crash exit code (64) and the degraded-run exit code (4) with
-# a clean resume healing the quarantined shard.
+# Crash/resume acceptance check for shard reuse through the artifact
+# cache: SIGKILL the generator at randomized filesystem-operation indices
+# (the kill@N fault fires mid-write, leaving torn segments and stale tmp
+# files), run again over the same --cache-dir, and demand the final
+# dataset be byte-identical — by md5, at 1 / 2 / 8 threads — to an
+# uninterrupted run without a cache. Also checks the injected-crash exit
+# code (64), that a publish failing for good still yields the complete
+# dataset (exit 0) with the next run re-simulating only that shard, and
+# the degraded-run exit code (4) of a deadline overrun.
 set -u
 
 BBLAB=$1
@@ -29,49 +31,63 @@ for t in 1 2 8; do
   base=$(md5_tree "$WORK/base$t")
   echo "baseline md5 @$t threads: $base"
 
-  # --- SIGKILL at randomized op indices, then resume ------------------------
-  ckpt="$WORK/ckpt_kill$t"
-  for k in 3 9 17 33 65 $((RANDOM % 800 + 100)); do
-    "$BBLAB" generate $ARGS --threads "$t" --checkpoint "$ckpt" --resume \
+  # --- SIGKILL at randomized op indices, then run again --------------------
+  cache="$WORK/cache_kill$t"
+  for k in 3 9 17 33 65 $((RANDOM % 500 + 100)); do
+    "$BBLAB" generate $ARGS --threads "$t" --cache-dir "$cache" \
       --fs-faults "kill@$k" --out "$WORK/killed" >/dev/null 2>&1
     code=$?
     # 137 = killed mid-run; 0 = the op index was past the end of the run
-    # (everything already checkpointed); 4 would mean a shard was lost,
+    # (every shard already published); 4 would mean a shard was lost,
     # which a SIGKILL must never cause.
     if [ "$code" -ne 137 ] && [ "$code" -ne 0 ]; then
       fail "kill@$k @$t threads: exit code $code, want 137 or 0"
     fi
   done
-  "$BBLAB" generate $ARGS --threads "$t" --checkpoint "$ckpt" --resume \
+  "$BBLAB" generate $ARGS --threads "$t" --cache-dir "$cache" \
     --out "$WORK/resumed$t" >/dev/null 2>&1 \
-    || fail "final resume @$t threads exited non-zero"
+    || fail "final run @$t threads exited non-zero"
   got=$(md5_tree "$WORK/resumed$t")
   [ "$got" = "$base" ] || fail "resumed md5 @$t threads: $got != $base"
 done
+base=$(md5_tree "$WORK/base1")
 
 # --- injected crash (exception, not signal): distinct exit code 64 ----------
-"$BBLAB" generate $ARGS --checkpoint "$WORK/ckpt_crash" --fs-faults crash@9 \
+"$BBLAB" generate $ARGS --cache-dir "$WORK/cache_crash" --fs-faults crash@9 \
   >/dev/null 2>"$WORK/crash_err"
 code=$?
 [ "$code" -eq 64 ] || fail "crash@9: exit code $code, want 64"
 grep -q "injected crash" "$WORK/crash_err" \
   || fail "crash@9: stderr does not mention the injected crash"
-"$BBLAB" generate $ARGS --checkpoint "$WORK/ckpt_crash" --resume \
+"$BBLAB" generate $ARGS --cache-dir "$WORK/cache_crash" \
   --out "$WORK/after_crash" >/dev/null 2>&1 \
-  || fail "resume after crash@9 exited non-zero"
-got=$(md5_tree "$WORK/after_crash")
-[ "$got" = "$(md5_tree "$WORK/base1")" ] || fail "post-crash md5 differs"
+  || fail "run after crash@9 exited non-zero"
+[ "$(md5_tree "$WORK/after_crash")" = "$base" ] || fail "post-crash md5 differs"
 
-# --- permanent I/O failure: degraded completion (4), then resume heals ------
-"$BBLAB" generate $ARGS --checkpoint "$WORK/ckpt_deg" --fs-faults enospc@7 \
-  --out "$WORK/degraded" >/dev/null 2>&1
+# --- permanent I/O failure: merged anyway (0); the next run re-simulates it --
+"$BBLAB" generate $ARGS --cache-dir "$WORK/cache_enospc" --fs-faults enospc@7 \
+  --out "$WORK/enospc" >/dev/null 2>"$WORK/enospc_err"
 code=$?
-[ "$code" -eq 4 ] || fail "enospc@7: exit code $code, want 4 (degraded)"
-"$BBLAB" generate $ARGS --checkpoint "$WORK/ckpt_deg" --resume \
-  --out "$WORK/healed" >/dev/null 2>&1 \
-  || fail "healing resume exited non-zero"
-got=$(md5_tree "$WORK/healed")
-[ "$got" = "$(md5_tree "$WORK/base1")" ] || fail "healed md5 differs"
+[ "$code" -eq 0 ] || fail "enospc@7: exit code $code, want 0"
+grep -q "not published" "$WORK/enospc_err" \
+  || fail "enospc@7: stderr does not report the unpublished shard"
+[ "$(md5_tree "$WORK/enospc")" = "$base" ] || fail "enospc@7 md5 differs"
+"$BBLAB" generate $ARGS --cache-dir "$WORK/cache_enospc" --log-level info \
+  --out "$WORK/healed" >/dev/null 2>"$WORK/healed_err" \
+  || fail "healing run exited non-zero"
+grep -q ", 1 simulated, 0 quarantined" "$WORK/healed_err" \
+  || fail "healing run did not re-simulate exactly the unpublished shard"
+[ "$(md5_tree "$WORK/healed")" = "$base" ] || fail "healed md5 differs"
+
+# --- deadline overrun: degraded completion (4), then a clean run heals ------
+"$BBLAB" generate $ARGS --threads 1 --cache-dir "$WORK/cache_late" \
+  --deadline 0.0001 --out "$WORK/degraded" >/dev/null 2>&1
+code=$?
+[ "$code" -eq 4 ] || fail "--deadline 0.0001: exit code $code, want 4 (degraded)"
+"$BBLAB" generate $ARGS --cache-dir "$WORK/cache_late" \
+  --out "$WORK/late_healed" >/dev/null 2>&1 \
+  || fail "run after the deadline overrun exited non-zero"
+[ "$(md5_tree "$WORK/late_healed")" = "$base" ] || fail "post-deadline md5 differs"
 
 if [ "$fails" -ne 0 ]; then
   echo "crash_resume_test: FAILED"

@@ -130,8 +130,8 @@ TEST(HashBytes, MatchesStreamingHasher) {
 }
 
 TEST(HashBytes, GoldenValueIsStable) {
-  // Fingerprints, cache keys and checkpoint MANIFEST lines are stored
-  // hash_bytes/Hasher digests; this value pins them.
+  // Fingerprints and cache keys are stored hash_bytes/Hasher digests;
+  // this value pins them.
   const std::string msg = "broadband markets and the behavior of users";
   EXPECT_EQ(hash_bytes(msg.data(), msg.size(), 0xBB5C4EC6), 0xF5E6C4DD5CC4EE51ULL);
 }

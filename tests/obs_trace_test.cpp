@@ -222,6 +222,5 @@ TEST_F(ObsTraceTest, SummaryMentionsHeadlineSections) {
   const std::string s = out.str();
   EXPECT_NE(s.find("[obs] wall"), std::string::npos);
   EXPECT_NE(s.find("[obs] shards:"), std::string::npos);
-  EXPECT_NE(s.find("[obs] cache:"), std::string::npos);
   EXPECT_NE(s.find("[obs] pool:"), std::string::npos);
 }

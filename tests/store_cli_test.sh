@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # End-to-end check of the snapshot + cache subsystem through the CLI:
 #   1. `generate --cache` output is byte-identical to an uncached run, and
-#      runs at 1, 2 and 8 threads all hit the SAME cache entry and produce
-#      byte-identical CSVs (parallelism is excluded from the cache key).
+#      runs at 1, 2 and 8 threads all reuse the SAME cached run, shard for
+#      shard, and produce byte-identical CSVs (parallelism is excluded from
+#      the cache key).
 #   2. pack -> cat round-trips; cat on a corrupted snapshot, or on one
 #      stamped with an older format version, fails with a typed error and a
 #      non-zero exit, never a crash; cat on a FIFO fails with an I/O error
@@ -26,12 +27,15 @@ fail() {
 "$BBLAB" generate $ARGS --out "$WORK/plain" >/dev/null 2>&1 \
   || { echo "FAIL: baseline generate"; exit 1; }
 for t in 1 2 8; do
-  "$BBLAB" generate $ARGS --cache --threads "$t" --out "$WORK/t$t" \
+  "$BBLAB" generate $ARGS --cache --threads "$t" --log-level info --out "$WORK/t$t" \
     >/dev/null 2>"$WORK/log$t" || fail "generate --cache --threads $t"
 done
-grep -q "cache miss" "$WORK/log1" || fail "first cached run was not a miss"
-grep -q "cache hit" "$WORK/log2" || fail "second run did not hit the cache"
-grep -q "cache hit" "$WORK/log8" || fail "third run did not hit the cache"
+# generate() logs "shards: N planned, R reused, S simulated, Q quarantined".
+grep -q "planned, 0 reused" "$WORK/log1" || fail "first cached run reused shards"
+grep -Eq "shards: ([0-9]+) planned, \1 reused" "$WORK/log2" \
+  || fail "second run did not reuse every shard"
+grep -Eq "shards: ([0-9]+) planned, \1 reused" "$WORK/log8" \
+  || fail "third run did not reuse every shard"
 for t in 1 2 8; do
   diff -r "$WORK/plain" "$WORK/t$t" >/dev/null \
     || fail "--cache --threads $t output differs from uncached run"

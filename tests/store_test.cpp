@@ -5,6 +5,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -415,28 +416,66 @@ class CacheTest : public ::testing::Test {
   }
   void TearDown() override { std::filesystem::remove_all(root_); }
 
+  /// make_tiny()'s config with another seed (so another run key).
+  static dataset::StudyConfig config(std::uint64_t seed = 77) {
+    auto c = make_tiny().config;
+    c.seed = seed;
+    return c;
+  }
+
+  /// Shard 3: Dasu US in 2012, users 1..2, which make_tiny()'s Dasu
+  /// record belongs to.
+  static dataset::ShardSpec spec() {
+    dataset::ShardSpec s;
+    s.index = 3;
+    s.kind = dataset::ShardSpec::Kind::kDasu;
+    s.country_code = "US";
+    s.year_index = 1;
+    s.base_id = 1;
+    s.n_users = 2;
+    return s;
+  }
+
+  static dataset::ShardOutput output() {
+    dataset::ShardOutput out;
+    out.records = make_tiny().dasu;
+    out.qc.note_admitted(1);
+    out.qc.add(2, QuarantineReason::kInjectedFault, "user 2", "planned failure");
+    return out;
+  }
+
+  /// The shard's output as a dataset, for content_hash comparisons.
+  static std::uint64_t hash_of(const dataset::ShardOutput& out) {
+    dataset::StudyDataset ds;
+    ds.dasu = out.records;
+    ds.upgrades = out.upgrades;
+    ds.qc = out.qc;
+    return content_hash(ds);
+  }
+
   std::filesystem::path root_;
+  const market::World& world_ = market::World::builtin();
 };
 
 TEST_F(CacheTest, MissThenHit) {
   const ArtifactCache cache{root_};
-  const Fingerprint key{1, 2};
-  EXPECT_FALSE(cache.load(key).has_value());
+  EXPECT_FALSE(cache.load(config(), world_, spec()).has_value());
 
-  const auto ds = make_tiny();
-  const auto path = cache.store(key, ds);
-  EXPECT_TRUE(std::filesystem::exists(path));
+  cache.publish(config(), world_, spec(), output());
+  const auto key = dataset_fingerprint(config(), world_);
+  EXPECT_TRUE(std::filesystem::exists(cache.segment_path(key, spec().index)));
 
-  const auto hit = cache.load(key);
+  const auto hit = cache.load(config(), world_, spec());
   ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(content_hash(*hit), content_hash(ds));
-  EXPECT_FALSE(cache.load(Fingerprint{1, 3}).has_value());
+  EXPECT_EQ(hash_of(*hit), hash_of(output()));
+  EXPECT_FALSE(cache.load(config(78), world_, spec()).has_value());
 }
 
 TEST_F(CacheTest, CorruptEntryIsEvictedAndTreatedAsMiss) {
   const ArtifactCache cache{root_};
-  const Fingerprint key{7, 7};
-  const auto path = cache.store(key, make_tiny());
+  cache.publish(config(), world_, spec(), output());
+  const auto path =
+      cache.segment_path(dataset_fingerprint(config(), world_), spec().index);
 
   // Damage one payload byte in place.
   {
@@ -448,31 +487,34 @@ TEST_F(CacheTest, CorruptEntryIsEvictedAndTreatedAsMiss) {
     f.seekp(40);
     f.put(static_cast<char>(c ^ 0x10));
   }
-  EXPECT_FALSE(cache.load(key).has_value());
-  // The poisoned entry must be gone so the next store repopulates it.
+  EXPECT_FALSE(cache.load(config(), world_, spec()).has_value());
+  // The poisoned segment must be gone so the next publish repopulates it.
   EXPECT_FALSE(std::filesystem::exists(path));
-  cache.store(key, make_tiny());
-  EXPECT_TRUE(cache.load(key).has_value());
+  cache.publish(config(), world_, spec(), output());
+  EXPECT_TRUE(cache.load(config(), world_, spec()).has_value());
 }
 
 TEST_F(CacheTest, ListRemoveClear) {
   const ArtifactCache cache{root_};
   EXPECT_TRUE(cache.list().empty());
-  const auto ds = make_tiny();
-  cache.store(Fingerprint{2, 1}, ds);
-  cache.store(Fingerprint{1, 1}, ds);
-  cache.store(Fingerprint{0xAB00000000000000ull, 5}, ds);
+  std::vector<Fingerprint> keys;
+  for (const std::uint64_t seed : {77u, 78u, 79u}) {
+    cache.publish(config(seed), world_, spec(), output());
+    keys.push_back(dataset_fingerprint(config(seed), world_));
+  }
+  std::sort(keys.begin(), keys.end());
 
   const auto entries = cache.list();
   ASSERT_EQ(entries.size(), 3u);
-  // Sorted by key for stable `cache ls` output.
-  EXPECT_EQ(entries[0].key, (Fingerprint{1, 1}));
-  EXPECT_EQ(entries[1].key, (Fingerprint{2, 1}));
-  EXPECT_EQ(entries[2].key, (Fingerprint{0xAB00000000000000ull, 5}));
-  for (const auto& e : entries) EXPECT_GT(e.size_bytes, 0u);
+  // Sorted by key for stable `cache ls` output; one entry per run.
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    EXPECT_EQ(entries[i].key, keys[i]);
+    EXPECT_EQ(entries[i].path, cache.run_dir(keys[i]));
+    EXPECT_GT(entries[i].size_bytes, 0u);
+  }
 
-  EXPECT_TRUE(cache.remove(Fingerprint{1, 1}));
-  EXPECT_FALSE(cache.remove(Fingerprint{1, 1}));
+  EXPECT_TRUE(cache.remove(keys[0]));
+  EXPECT_FALSE(cache.remove(keys[0]));
   EXPECT_EQ(cache.list().size(), 2u);
   EXPECT_EQ(cache.clear(), 2u);
   EXPECT_TRUE(cache.list().empty());

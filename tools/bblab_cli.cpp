@@ -20,12 +20,12 @@
 //   --faults SPEC   fault-injection plan, e.g. "churn=0.2,corrupt=0.05"
 //   --qc-report     print the quarantine/QC table after generation
 //   --placebo       disable all planted causal effects
-//   --cache         reuse/populate the content-addressed simulation cache
-//   --cache-dir DIR cache root (default $BBLAB_CACHE_DIR or ~/.cache/bblab)
-//   --checkpoint DIR persist completed shards under DIR (crash-safe runs)
-//   --resume        reuse shards already checkpointed under --checkpoint
-//   --deadline X    per-shard watchdog deadline in seconds, >= 0
-//   --retries N     I/O retry attempts for transient failures (default 4)
+//   --cache         reuse/publish simulated shards in the content-addressed
+//                   cache (a killed run resumes where it stopped)
+//   --cache-dir DIR cache root, implies --cache (default $BBLAB_CACHE_DIR
+//                   or ~/.cache/bblab)
+//   --deadline X    per-shard watchdog deadline in seconds, >= 0 (0 = off)
+//   --retries N     attempts per cache publish on transient I/O (default 4)
 //   --fs-faults SPEC filesystem fault plan, e.g. "eio@3x2,crash@7"
 //                   (also read from $BBLAB_FS_FAULTS)
 //   --log-level L   debug|info|warn|error|off (default warn; also
@@ -68,7 +68,6 @@
 #include "serve/server.h"
 #include "store/bbs.h"
 #include "store/cache.h"
-#include "store/checkpoint.h"
 #include "store/fingerprint.h"
 
 namespace {
@@ -87,8 +86,6 @@ struct CliOptions {
   std::string cache_dir;  ///< empty = ArtifactCache::default_root()
   bool placebo{false};
   bool markdown{false};
-  std::string checkpoint;  ///< checkpoint directory; empty = monolithic run
-  bool resume{false};
   double deadline_s{0.0};  ///< per-shard deadline; <= 0 disables
   int retries{0};          ///< 0 = RetryPolicy default
   std::string fs_faults;   ///< FsFaultPlan::parse spec; empty = clean
@@ -144,8 +141,7 @@ int usage() {
          "        [--snapshot FILE.bbs] [--markdown]\n"
          "common: --seed N --scale X --days X --threads N --placebo\n"
          "        --faults SPEC (e.g. \"churn=0.2,corrupt=0.05\") --qc-report\n"
-         "        --cache --cache-dir DIR\n"
-         "        --checkpoint DIR [--resume] --deadline SECONDS --retries N\n"
+         "        --cache --cache-dir DIR --deadline SECONDS --retries N\n"
          "        --fs-faults SPEC (e.g. \"eio@3x2,crash@7\"; also "
          "$BBLAB_FS_FAULTS)\n"
          "        --log-level debug|info|warn|error|off (also $BBLAB_LOG_LEVEL)\n"
@@ -217,6 +213,12 @@ bool parse(int argc, char** argv, CliOptions& options) {
     } else if (arg == "--faults") {
       const char* v = next();
       if (v == nullptr) return false;
+      try {
+        (void)faults::FaultPlan::parse(v);
+      } catch (const std::exception& e) {
+        std::cerr << "invalid value for --faults: " << e.what() << "\n";
+        return false;
+      }
       options.faults = v;
     } else if (arg == "--cache") {
       options.cache = true;
@@ -225,12 +227,6 @@ bool parse(int argc, char** argv, CliOptions& options) {
       if (v == nullptr) return false;
       options.cache_dir = v;
       options.cache = true;
-    } else if (arg == "--checkpoint") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      options.checkpoint = v;
-    } else if (arg == "--resume") {
-      options.resume = true;
     } else if (arg == "--deadline") {
       const auto v = finite_positive(true);
       if (!v) return false;
@@ -306,85 +302,39 @@ dataset::StudyConfig study_config(const CliOptions& options) {
   return config;
 }
 
-store::ArtifactCache open_cache(const CliOptions& options) {
-  return store::ArtifactCache{options.cache_dir.empty()
-                                  ? store::ArtifactCache::default_root()
-                                  : std::filesystem::path{options.cache_dir}};
+std::filesystem::path cache_root(const CliOptions& options) {
+  return options.cache_dir.empty() ? store::ArtifactCache::default_root()
+                                   : std::filesystem::path{options.cache_dir};
 }
-
-struct DatasetResult {
-  dataset::StudyDataset ds;
-  /// One or more shards were quarantined: the dataset is partial and the
-  /// command should exit kExitDegraded instead of 0.
-  bool degraded{false};
-};
 
 /// Fold a command's own exit status together with the dataset's
-/// degradation state: degradation only ever *worsens* a success.
-int exit_code(const DatasetResult& result, int rc) {
-  return rc == 0 && result.degraded ? kExitDegraded : rc;
+/// degradation state (shards lost to their deadline): degradation only
+/// ever *worsens* a success.
+int exit_code(const dataset::StudyDataset& ds, int rc) {
+  return rc == 0 && ds.qc.count(QuarantineReason::kDeadlineExceeded) > 0
+             ? kExitDegraded
+             : rc;
 }
 
-dataset::StudyDataset generate_dataset(const CliOptions& options,
-                                       const dataset::StudyConfig& config,
-                                       bool& degraded) {
-  if (!options.checkpoint.empty()) {
-    store::CheckpointOptions copts;
-    copts.dir = options.checkpoint;
-    copts.resume = options.resume;
-    copts.shard_deadline_s = options.deadline_s;
-    if (options.retries >= 1) copts.retry.max_attempts = options.retries;
-    auto run = store::run_checkpointed(market::World::builtin(), config, copts);
-    degraded = run.degraded();
-    if (degraded) {
-      std::cerr << "warning: run degraded: " << run.shards_failed << "/"
-                << run.shards_total << " shards quarantined (see QC report)\n";
-    }
-    return std::move(run.dataset);
-  }
-  return dataset::StudyGenerator{market::World::builtin(), config}.generate();
-}
-
-DatasetResult make_dataset(const CliOptions& options) {
+dataset::StudyDataset make_dataset(const CliOptions& options) {
   const obs::ScopedPhase phase{"dataset"};
   const auto config = study_config(options);
-  DatasetResult result;
+  std::optional<store::ArtifactCache> cache;
   if (options.cache) {
-    const auto cache = open_cache(options);
-    const auto key = store::dataset_fingerprint(config, market::World::builtin());
-    if (auto hit = cache.load(key)) {
-      std::cerr << "cache hit " << key.hex() << "\n";
-      // Parallelism is excluded from the key; restore the requested value
-      // so a cache hit is indistinguishable from a fresh run.
-      hit->config.threads = config.threads;
-      if (options.qc_report) analysis::print_quarantine(std::cerr, hit->qc);
-      result.ds = *std::move(hit);
-      return result;
-    }
-    std::cerr << "cache miss " << key.hex() << "; generating dataset (seed "
-              << config.seed << ", scale " << config.population_scale << ")...\n";
-    result.ds = generate_dataset(options, config, result.degraded);
-    if (result.degraded) {
-      // A cache entry names the *complete* dataset for this fingerprint;
-      // a partial one would poison every later run that hits it.
-      std::cerr << "note: degraded dataset not stored in cache\n";
-    } else {
-      try {
-        cache.store(key, result.ds);
-      } catch (const std::exception& e) {
-        // The run already has its dataset; failing to memoize it is a
-        // warning, not an error.
-        std::cerr << "warning: cache store failed: " << e.what() << "\n";
-      }
-    }
-    if (options.qc_report) analysis::print_quarantine(std::cerr, result.ds.qc);
-    return result;
+    core::RetryPolicy retry;
+    if (options.retries >= 1) retry.max_attempts = options.retries;
+    cache.emplace(cache_root(options), retry);
   }
   std::cerr << "generating dataset (seed " << config.seed << ", scale "
             << config.population_scale << ")...\n";
-  result.ds = generate_dataset(options, config, result.degraded);
-  if (options.qc_report) analysis::print_quarantine(std::cerr, result.ds.qc);
-  return result;
+  auto ds = dataset::StudyGenerator{market::World::builtin(), config}.generate(
+      {.store = cache ? &*cache : nullptr, .shard_deadline_s = options.deadline_s});
+  if (const auto lost = ds.qc.count(QuarantineReason::kDeadlineExceeded)) {
+    std::cerr << "warning: run degraded: " << lost
+              << " shards quarantined (see QC report)\n";
+  }
+  if (options.qc_report) analysis::print_quarantine(std::cerr, ds.qc);
+  return ds;
 }
 
 int cmd_markets(const CliOptions& options) {
@@ -412,8 +362,7 @@ int cmd_markets(const CliOptions& options) {
 }
 
 int cmd_generate(const CliOptions& options) {
-  const auto result = make_dataset(options);
-  const auto& ds = result.ds;
+  const auto ds = make_dataset(options);
   const obs::ScopedPhase phase{"output"};
   const std::filesystem::path dir{options.out};
   std::filesystem::create_directories(dir);
@@ -452,7 +401,7 @@ int cmd_generate(const CliOptions& options) {
   }
   std::cout << "wrote " << ds.dasu.size() << " + " << ds.fcc.size() << " user records, "
             << ds.upgrades.size() << " upgrade pairs to " << dir << "/\n";
-  return exit_code(result, 0);
+  return exit_code(ds, 0);
 }
 
 int cmd_ingest(const CliOptions& options) {
@@ -480,24 +429,23 @@ int cmd_artifact(const CliOptions& options, analysis::ArtifactKind kind) {
   const analysis::Artifact* artifact =
       analysis::find_artifact(options.positional.front(), kind);
   if (artifact == nullptr) return usage();
-  const auto result = make_dataset(options);
+  const auto ds = make_dataset(options);
   const obs::ScopedPhase phase{"analysis"};
-  artifact->render(std::cout, result.ds);
-  return exit_code(result, 0);
+  artifact->render(std::cout, ds);
+  return exit_code(ds, 0);
 }
 
 int cmd_pack(const CliOptions& options) {
   if (options.positional.empty()) return usage();
   const std::filesystem::path out{options.positional.front()};
-  const auto result = make_dataset(options);
-  const auto& ds = result.ds;
+  const auto ds = make_dataset(options);
   const obs::ScopedPhase phase{"output"};
   store::write_snapshot_file(out, ds);
   std::cout << "packed " << ds.dasu.size() << " + " << ds.fcc.size()
             << " user records, " << ds.upgrades.size() << " upgrade pairs, "
             << ds.markets.size() << " markets into " << out << " ("
             << std::filesystem::file_size(out) << " bytes)\n";
-  return exit_code(result, 0);
+  return exit_code(ds, 0);
 }
 
 int cmd_cat(const CliOptions& options) {
@@ -535,7 +483,7 @@ int cmd_cat(const CliOptions& options) {
 
 int cmd_cache(const CliOptions& options) {
   if (options.positional.empty()) return usage();
-  const auto cache = open_cache(options);
+  const store::ArtifactCache cache{cache_root(options)};
   const std::string& sub = options.positional.front();
   if (sub == "ls") {
     auto entries = cache.list();
@@ -693,10 +641,6 @@ int main(int argc, char** argv) {
   set_log_level(LogLevel::kWarn);
   CliOptions options;
   if (!parse(argc, argv, options)) return usage();
-  if (options.resume && options.checkpoint.empty()) {
-    std::cerr << "--resume requires --checkpoint DIR\n";
-    return usage();
-  }
 
   // Log level: hardcoded default < $BBLAB_LOG_LEVEL < --log-level. A bad
   // flag is a usage error; a bad env value only warns (a script-wide env
@@ -723,8 +667,8 @@ int main(int argc, char** argv) {
   if (!options.trace_out.empty()) obs::set_tracing(true);
 
   // Filesystem fault injection: installed process-wide before any I/O so
-  // the whole storage stack (snapshots, cache, checkpoints) runs through
-  // it. Static storage: the instance must outlive every user.
+  // the whole storage stack (snapshots, cache publishes) runs through it.
+  // Static storage: the instance must outlive every user.
   std::string fs_spec = options.fs_faults;
   if (fs_spec.empty()) {
     if (const char* env = std::getenv("BBLAB_FS_FAULTS")) fs_spec = env;
@@ -762,11 +706,11 @@ int main(int argc, char** argv) {
     if (command == "serve") return cmd_serve(options);
     if (command == "query") return cmd_query(options);
     if (command == "scorecard") {
-      const auto result = make_dataset(options);
+      const auto ds = make_dataset(options);
       const obs::ScopedPhase phase{"analysis"};
       const double pass_rate =
-          analysis::render_scorecard(std::cout, result.ds, options.markdown);
-      return exit_code(result, pass_rate >= 0.7 ? 0 : 1);
+          analysis::render_scorecard(std::cout, ds, options.markdown);
+      return exit_code(ds, pass_rate >= 0.7 ? 0 : 1);
     }
     return usage();
   };
