@@ -12,6 +12,11 @@ set -u
 # change that alters simulation semantics must bump
 # kPipelineSemanticsVersion and update these together.
 EXPECTED_DATASET=d495beab92a3fd0e08b843246f09e143
+# The same dataset under a fault plan that drops, zeroes and spikes
+# samples and fails a few households: it pins the faulted observation
+# path the clean golden never runs.
+EXPECTED_FAULTED_DATASET=1a388f61dce77b7e54924cb2e53e50e3
+FAULTS="churn=0.3,blackout=0.2,reset=0.3,wrap=0.3,skew=0.5,fail=0.01"
 declare -A EXPECTED_FIGURE=(
   [fig1]=bdb85f331edde708ca4a42623baa02fb
   [fig2]=fecca2d68ef94a572bc783ec66ec7586
@@ -47,6 +52,17 @@ echo "dataset md5 @1 thread: $base"
 for t in 2 8; do
   got=$(md5_tree "$WORK/gen$t")
   [ "$got" = "$base" ] || fail "dataset md5 differs at $t threads: $got != $base"
+done
+
+# --- faulted datasets: generate at 1 / 8 threads ----------------------------
+for t in 1 8; do
+  "$BBLAB" generate $ARGS --faults "$FAULTS" --threads "$t" --out "$WORK/faulted$t" \
+      >/dev/null 2>&1 \
+    || fail "generate --faults --threads $t exited non-zero"
+  got=$(md5_tree "$WORK/faulted$t")
+  echo "faulted dataset md5 @$t threads: $got"
+  [ "$got" = "$EXPECTED_FAULTED_DATASET" ] \
+    || fail "faulted dataset md5 at $t threads $got != golden $EXPECTED_FAULTED_DATASET"
 done
 
 # --- observability is a pure side channel ----------------------------------
