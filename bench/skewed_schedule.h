@@ -49,13 +49,14 @@ inline std::vector<double> measure_task_costs(
     const measurement::PipelineToolkit& kit,
     std::span<const measurement::HouseholdTask> tasks) {
   const Rng base{2014};
+  measurement::HouseholdWorkspace ws;
   std::vector<double> out(tasks.size());
   for (std::size_t i = 0; i < tasks.size(); ++i) {
     double best = std::numeric_limits<double>::infinity();
     for (int rep = 0; rep < 3; ++rep) {
       const auto t0 = std::chrono::steady_clock::now();
       Rng rng = base.fork(tasks[i].stream_id);
-      (void)measurement::simulate_household(kit, tasks[i], rng);
+      (void)measurement::simulate_household(kit, tasks[i], rng, ws);
       const auto t1 = std::chrono::steady_clock::now();
       best = std::min(best, std::chrono::duration<double, std::milli>{t1 - t0}.count());
     }

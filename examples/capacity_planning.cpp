@@ -14,6 +14,7 @@
 #include "behavior/demand.h"
 #include "core/rng.h"
 #include "measurement/collectors.h"
+#include "measurement/usage.h"
 #include "netsim/fluid.h"
 #include "netsim/workload.h"
 #include "stats/descriptive.h"
@@ -35,6 +36,7 @@ int main() {
             << "2 days each...\n\n";
   std::cout << "  tier      mean demand    p95 demand    p95 util   safe oversub*\n";
 
+  measurement::SummaryColumns columns;
   std::array<char, 160> buf{};
   for (const double tier_mbps : tiers) {
     std::vector<double> means;
@@ -60,7 +62,11 @@ int main() {
       const auto flows = workload.generate(wp, link, 0.0, 2 * kDay, rng);
       const netsim::FluidLinkSimulator sim{link};
       const auto truth = sim.run(flows, 0.0, 2 * 2880, 30.0);
-      const auto summary = measurement::summarize(gateway.collect(truth));
+      columns.clear();
+      gateway.sample(truth, [&](SimTime, double, Rate down, Rate up, bool bt_active) {
+        columns.add(down, up, bt_active);
+      });
+      const auto summary = measurement::summarize(columns);
       means.push_back(summary.mean_down.mbps());
       peaks.push_back(summary.peak_down.mbps());
     }

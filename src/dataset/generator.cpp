@@ -149,7 +149,7 @@ measurement::UsageSummary observe(const Toolkit& kit, const AccessLink& link,
   task.bins = static_cast<std::size_t>(std::round(window_days * kDay / bin_s));
   task.bin_width_s = bin_s;
   task.collector = collector;
-  return measurement::simulate_household(kit.pipeline(), task, rng, &ws).summary;
+  return measurement::simulate_household(kit.pipeline(), task, rng, ws);
 }
 
 /// What one simulated household contributes to the dataset. Slots are

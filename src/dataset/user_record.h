@@ -11,6 +11,7 @@
 #include <string>
 
 #include "behavior/archetype.h"
+#include "core/time.h"
 #include "core/units.h"
 #include "market/country.h"
 #include "measurement/usage.h"

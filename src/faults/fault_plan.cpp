@@ -167,11 +167,6 @@ bool HouseholdFaults::in_dropped(double t) const {
                      [t](const TimeWindow& w) { return w.contains(t); });
 }
 
-bool HouseholdFaults::empty() const {
-  return dropped.empty() && clock_skew_s == 0.0 && !reset_time &&
-         !spurious_wrap_time && !fail_household;
-}
-
 HouseholdFaults materialize(const FaultPlan& plan, std::uint64_t stream_id,
                             double t0, double t1) {
   // One substream per household, independent of thread schedule. Every
@@ -196,8 +191,10 @@ HouseholdFaults materialize(const FaultPlan& plan, std::uint64_t stream_id,
   const bool wrap = rng.bernoulli(plan.spurious_wrap_probability);
   const double wrap_at = t0 + span * rng.uniform();
 
-  const bool skew = rng.bernoulli(plan.clock_skew_probability);
-  const double skew_s = rng.uniform(-plan.max_clock_skew_s, plan.max_clock_skew_s);
+  // The clock skew is drawn so that every later draw keeps its place,
+  // but nothing reads it: the summaries never read a sample's timestamp.
+  (void)rng.bernoulli(plan.clock_skew_probability);
+  (void)rng.uniform(-plan.max_clock_skew_s, plan.max_clock_skew_s);
 
   const bool fail = rng.bernoulli(plan.household_failure_probability);
 
@@ -211,7 +208,6 @@ HouseholdFaults materialize(const FaultPlan& plan, std::uint64_t stream_id,
   }
   if (reset) out.reset_time = reset_at;
   if (wrap) out.spurious_wrap_time = wrap_at;
-  if (skew) out.clock_skew_s = skew_s;
   out.fail_household = fail;
   return out;
 }

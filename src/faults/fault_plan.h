@@ -47,8 +47,9 @@ struct FaultPlan {
   double reset_probability{0.0};
   double spurious_wrap_probability{0.0};
 
-  /// Clock skew: a constant offset, uniform in ±max_clock_skew_s, applied
-  /// to every sample timestamp of an affected household.
+  /// Clock skew: a constant offset, uniform in ±max_clock_skew_s, drawn
+  /// per household. It changes no output: the demand summaries never read
+  /// a sample's timestamp (DESIGN.md, "Deterministic fault injection").
   double clock_skew_probability{0.0};
   double max_clock_skew_s{120.0};
 
@@ -95,13 +96,11 @@ struct TimeWindow {
 /// function of (plan, stream_id, t0, t1), independent of scheduling.
 struct HouseholdFaults {
   std::vector<TimeWindow> dropped;  ///< outage + blackout sample drops
-  double clock_skew_s{0.0};
   std::optional<double> reset_time;
   std::optional<double> spurious_wrap_time;
   bool fail_household{false};
 
   [[nodiscard]] bool in_dropped(double t) const;
-  [[nodiscard]] bool empty() const;
 };
 
 [[nodiscard]] HouseholdFaults materialize(const FaultPlan& plan,

@@ -8,7 +8,10 @@
 // substream per household, so output is identical at any thread count.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
+#include <optional>
 #include <vector>
 
 #include "core/rng.h"
@@ -46,23 +49,11 @@ struct HouseholdTask {
   std::uint64_t stream_id{0};
 };
 
-struct HouseholdResult {
-  netsim::BinnedUsage truth;  ///< simulator ground truth
-  /// What the instrument observed. Empty for a Dasu household simulated
-  /// without an active fault plan: that path summarizes the samples as
-  /// they are taken (DasuCollector::collect_summary) and never builds
-  /// the series. Gateway households, and every household under a
-  /// non-empty fault plan (apply_faults edits the series before it is
-  /// summarized), carry the full series.
-  UsageSeries series;
-  UsageSummary summary;       ///< the per-user demand metrics
-};
-
 /// Per-worker scratch for simulate_household: the workload's flow and
-/// arrival buffers, the fluid engine's buffers and the collector's
-/// summary columns. The shard driver keeps one per block of households, so
-/// every household after the first generates, simulates and summarizes
-/// without per-flow or per-bin allocation.
+/// arrival buffers, the fluid engine's buffers and the summary columns
+/// the collector's samples go into. The shard driver keeps one per block
+/// of households, so every household after the first generates,
+/// simulates and summarizes without per-flow or per-bin allocation.
 struct HouseholdWorkspace {
   std::vector<netsim::Flow> flows;
   std::vector<SimTime> arrivals;
@@ -82,30 +73,72 @@ struct PipelineToolkit {
   netsim::TcpModel tcp{};
 };
 
-/// Damage an observed series per a materialized household fault schedule:
-/// drop samples inside outage/blackout windows, zero the sample spanning
-/// a counter reset, add a +2^32-byte spike to the sample spanning a
-/// spurious wrap, and shift every timestamp by the clock skew.
-void apply_faults(UsageSeries& series, const faults::HouseholdFaults& household);
+/// A household's fault schedule in front of a sample sink: the returned
+/// sink takes collector samples (`time, interval_s, down, up,
+/// bt_active`; see collectors.h) and passes each on to `next` as the
+/// schedule leaves it. In order: a sample whose time falls in a dropped
+/// (outage or blackout) window is not passed on; a counter reset in
+/// [time, time + interval_s) zeroes both rates, because the delta
+/// spanning it is unrecoverable; a spurious wrap there adds a
+/// 2^32-byte spike to the down rate. `time` is the end of the sample's
+/// interval, so these two checks look one interval late (DESIGN.md,
+/// "Deterministic fault injection").
+template <typename Next>
+[[nodiscard]] auto faulted_sink(const faults::HouseholdFaults& household, Next next) {
+  // A sample can meet a fault only if time + interval_s > lo and
+  // time <= hi, the earliest and latest fault times. Most households have
+  // none (lo = +inf), so their samples pay one comparison; checking every
+  // fault per sample measurably slowed the Dasu loop.
+  double lo = std::numeric_limits<double>::infinity();
+  double hi = -lo;
+  for (const auto& window : household.dropped) {
+    lo = std::min(lo, window.begin);
+    hi = std::max(hi, window.end);
+  }
+  for (const auto& at : {household.reset_time, household.spurious_wrap_time}) {
+    if (at) {
+      lo = std::min(lo, *at);
+      hi = std::max(hi, *at);
+    }
+  }
+  return [&household, lo, hi, next](SimTime time, double interval_s, Rate down, Rate up,
+                                    bool bt_active) {
+    if (time + interval_s > lo && time <= hi) {
+      if (household.in_dropped(time)) return;
+      const auto hits = [&](const std::optional<double>& at) {
+        return at && *at >= time && *at < time + interval_s;
+      };
+      if (hits(household.reset_time)) {
+        down = Rate{};
+        up = Rate{};
+      }
+      if (hits(household.spurious_wrap_time)) {
+        constexpr double kWrapBytes = 4294967296.0;  // 2^32: one full 32-bit wrap
+        down = Rate::from_bps(down.bps() + rate_over(kWrapBytes, interval_s).bps());
+      }
+    }
+    next(time, interval_s, down, up, bt_active);
+  };
+}
 
 /// Spans one simulate_household call records when tracing is on:
 /// measure.workload, measure.fluid and measure.collect.
 inline constexpr std::size_t kSpansPerHousehold = 3;
 
 /// Simulate one household end to end, drawing from `rng` in a fixed
-/// order (workload generation first, then collector sampling). When the
-/// toolkit carries a fault plan, the household's fault schedule is
-/// materialized from (plan, task.stream_id) — independent of `rng`, so
-/// faults never perturb the simulation's randomness — and applied to the
-/// observed series; a household selected for hard failure throws
-/// InjectedFault.
+/// order (workload generation first, then collector sampling), and
+/// summarize what its collector observes. When the toolkit carries a
+/// fault plan, the household's fault schedule is materialized from
+/// (plan, task.stream_id) — independent of `rng`, so faults never perturb
+/// the simulation's randomness — and every sample passes through it
+/// (faulted_sink) on its way into `workspace.columns`; a household
+/// selected for hard failure throws InjectedFault.
 ///
 /// `workspace` is reusable scratch state: the shard driver passes one per
-/// block of households so every household-window after the first runs without
-/// per-bin allocations. Null falls back to a per-call workspace
-/// (identical output, just slower).
-[[nodiscard]] HouseholdResult simulate_household(const PipelineToolkit& kit,
-                                                 const HouseholdTask& task, Rng& rng,
-                                                 HouseholdWorkspace* workspace = nullptr);
+/// block of households, so every household-window after the first runs
+/// without per-bin allocations.
+[[nodiscard]] UsageSummary simulate_household(const PipelineToolkit& kit,
+                                              const HouseholdTask& task, Rng& rng,
+                                              HouseholdWorkspace& workspace);
 
 }  // namespace bblab::measurement

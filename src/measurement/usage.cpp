@@ -35,13 +35,4 @@ UsageSummary summarize(SummaryColumns& columns) {
   return s;
 }
 
-UsageSummary summarize(const UsageSeries& series) {
-  SummaryColumns columns;
-  columns.reserve(series.size());
-  for (const auto& sample : series.samples) {
-    columns.add(sample.down, sample.up, sample.bt_active);
-  }
-  return summarize(columns);
-}
-
 }  // namespace bblab::measurement

@@ -1,32 +1,18 @@
-// Usage time series and the paper's demand metrics.
+// The paper's demand metrics.
 //
 // The analysis reduces each user's traffic to two numbers per direction:
 // the mean rate and the "peak" rate defined as the 95th percentile of the
-// sampled demand time series (§3.1) — each computed both over all samples
-// and restricted to periods when BitTorrent was not active.
+// sampled demand (§3.1) — each computed both over all samples and
+// restricted to periods when BitTorrent was not active. The samples are
+// never kept as a series: each is appended to SummaryColumns as it is
+// taken, and the columns are reduced once per household.
 #pragma once
 
 #include <vector>
 
-#include "core/time.h"
 #include "core/units.h"
 
 namespace bblab::measurement {
-
-struct UsageSample {
-  SimTime time{0.0};
-  double interval_s{30.0};  ///< seconds covered by this sample
-  Rate down;
-  Rate up;
-  bool bt_active{false};
-};
-
-struct UsageSeries {
-  std::vector<UsageSample> samples;
-
-  [[nodiscard]] bool empty() const { return samples.empty(); }
-  [[nodiscard]] std::size_t size() const { return samples.size(); }
-};
 
 /// The per-user demand summary every experiment consumes.
 struct UsageSummary {
@@ -80,7 +66,5 @@ struct SummaryColumns {
 /// Summarize sample columns. Means sum in sample order; peaks are p95 by
 /// selection (stats::quantile_select), which reorders the columns.
 [[nodiscard]] UsageSummary summarize(SummaryColumns& columns);
-
-[[nodiscard]] UsageSummary summarize(const UsageSeries& series);
 
 }  // namespace bblab::measurement

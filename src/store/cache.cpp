@@ -104,21 +104,36 @@ dataset::ShardOutput read_segment(const std::filesystem::path& path,
   return out;
 }
 
-/// Sum of segment sizes and newest segment mtime of one run directory
-/// (the directory's own mtime when it holds no segment).
+/// Where builds before per-shard segments kept run `dir`'s key: one
+/// whole-dataset snapshot, objects/<2 hex>/<30 hex>.bbs. Nothing reads it
+/// any more; list, remove and trim still see it, so it can be removed.
+std::filesystem::path whole_dataset_path(std::filesystem::path dir) {
+  return dir += ".bbs";
+}
+
+/// Sum of file sizes and newest file mtime of one run: the segments in
+/// `dir` and any whole-dataset file beside it (the directory's own mtime
+/// when there is no file). The entry's path is `dir`, or the
+/// whole-dataset file when only that exists.
 CacheEntry scan_run(const Fingerprint& key, const std::filesystem::path& dir) {
-  CacheEntry entry{key, dir, 0, std::filesystem::file_time_type::min()};
+  const std::filesystem::path whole = whole_dataset_path(dir);
   std::error_code ec;
-  for (const auto& file : std::filesystem::directory_iterator{dir, ec}) {
-    if (ec) break;
-    if (!file.is_regular_file() || file.path().extension() != ".bbs") continue;
+  CacheEntry entry{key, std::filesystem::is_directory(dir, ec) ? dir : whole, 0,
+                   std::filesystem::file_time_type::min()};
+  const auto add = [&](const std::filesystem::path& file) {
     std::error_code size_ec;
-    const auto size = std::filesystem::file_size(file.path(), size_ec);
+    const auto size = std::filesystem::file_size(file, size_ec);
     if (!size_ec) entry.size_bytes += size;
     std::error_code time_ec;
-    const auto mtime = std::filesystem::last_write_time(file.path(), time_ec);
+    const auto mtime = std::filesystem::last_write_time(file, time_ec);
     if (!time_ec) entry.last_access = std::max(entry.last_access, mtime);
+  };
+  for (const auto& file : std::filesystem::directory_iterator{dir, ec}) {
+    if (ec) break;
+    if (file.is_regular_file() && file.path().extension() == ".bbs") add(file.path());
   }
+  std::error_code whole_ec;
+  if (std::filesystem::is_regular_file(whole, whole_ec)) add(whole);
   if (entry.last_access == std::filesystem::file_time_type::min()) {
     entry.last_access = std::filesystem::last_write_time(dir, ec);
   }
@@ -263,23 +278,37 @@ std::vector<CacheEntry> ArtifactCache::list() const {
   const std::filesystem::path objects = root_ / "objects";
   std::error_code ec;
   if (!std::filesystem::is_directory(objects, ec) || ec) return entries;
+  std::vector<Fingerprint> keys;
   for (const auto& fan : std::filesystem::directory_iterator{objects, ec}) {
     if (ec || !fan.is_directory()) continue;
     const std::string prefix = fan.path().filename().string();
-    for (const auto& dir : std::filesystem::directory_iterator{fan.path(), ec}) {
-      if (ec || !dir.is_directory()) continue;
-      const auto key = Fingerprint::from_hex(prefix + dir.path().filename().string());
-      if (key) entries.push_back(scan_run(*key, dir.path()));
+    for (const auto& child : std::filesystem::directory_iterator{fan.path(), ec}) {
+      if (ec) continue;
+      // A run directory, or a whole-dataset file of an older build.
+      std::filesystem::path name = child.path().filename();
+      if (child.is_regular_file() && name.extension() == ".bbs") {
+        name = name.stem();
+      } else if (!child.is_directory()) {
+        continue;
+      }
+      if (const auto key = Fingerprint::from_hex(prefix + name.string())) {
+        keys.push_back(*key);
+      }
     }
   }
-  std::sort(entries.begin(), entries.end(),
-            [](const CacheEntry& a, const CacheEntry& b) { return a.key < b.key; });
+  std::sort(keys.begin(), keys.end());
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  for (const auto& key : keys) entries.push_back(scan_run(key, run_dir(key)));
   return entries;
 }
 
 bool ArtifactCache::remove(const Fingerprint& key) const {
-  std::error_code ec;
-  return std::filesystem::remove_all(run_dir(key), ec) > 0 && !ec;
+  std::error_code dir_ec;
+  const bool dir = std::filesystem::remove_all(run_dir(key), dir_ec) > 0 && !dir_ec;
+  std::error_code whole_ec;
+  const bool whole =
+      std::filesystem::remove(whole_dataset_path(run_dir(key)), whole_ec) && !whole_ec;
+  return dir || whole;
 }
 
 std::size_t ArtifactCache::clear() const {

@@ -14,6 +14,9 @@
 // Layout under the root:
 //
 //   objects/<2 hex>/<30 hex>/shard-00042.bbs   one published segment
+//   objects/<2 hex>/<30 hex>.bbs               whole-dataset file of an
+//                                              older build (listed and
+//                                              removed, never read)
 //   objects/**/*.tmp                           residue of a killed writer
 //
 // Every segment is a self-certifying .bbs snapshot holding one shard's
@@ -90,11 +93,13 @@ class ArtifactCache final : public dataset::ShardStore {
                const dataset::ShardSpec& spec,
                const dataset::ShardOutput& out) const override;
 
-  /// All runs, sorted by key for stable `cache ls` output. Directories
-  /// that do not look like run directories are ignored.
+  /// All runs, sorted by key for stable `cache ls` output. A
+  /// whole-dataset file objects/<2 hex>/<30 hex>.bbs, which builds before
+  /// per-shard segments wrote, counts as (part of) its key's run.
+  /// Directories and files that do not look like runs are ignored.
   [[nodiscard]] std::vector<CacheEntry> list() const;
 
-  /// Remove one run; true if it existed.
+  /// Remove one run, its whole-dataset file included; true if it existed.
   bool remove(const Fingerprint& key) const;
 
   /// Remove every run; returns how many were removed.

@@ -2,9 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <cstdint>
 #include <numeric>
+#include <vector>
 
 #include "core/rng.h"
 
@@ -29,6 +28,37 @@ netsim::DiurnalModel diurnal() {
   return netsim::DiurnalModel{netsim::DiurnalParams{}, SimClock{2011}};
 }
 
+/// One sample as a collector hands it to its sink.
+struct Sample {
+  SimTime time{0.0};
+  double interval_s{0.0};
+  Rate down;
+  Rate up;
+  bool bt_active{false};
+};
+
+/// A sink that keeps every sample, in order.
+struct Recorder {
+  std::vector<Sample> samples;
+  void operator()(SimTime time, double interval_s, Rate down, Rate up, bool bt_active) {
+    samples.push_back(Sample{time, interval_s, down, up, bt_active});
+  }
+};
+
+std::vector<Sample> record(const DasuCollector& collector,
+                           const netsim::BinnedUsage& truth, Rng& rng) {
+  Recorder recorder;
+  collector.sample(truth, 0.0, rng, recorder);
+  return recorder.samples;
+}
+
+std::vector<Sample> record(const GatewayCollector& collector,
+                           const netsim::BinnedUsage& truth) {
+  Recorder recorder;
+  collector.sample(truth, recorder);
+  return recorder.samples;
+}
+
 TEST(DasuCollector, ReconstructsConstantRate) {
   DasuCollectorParams params;
   params.availability_floor = 1.0;  // always observing
@@ -36,9 +66,9 @@ TEST(DasuCollector, ReconstructsConstantRate) {
   const DasuCollector collector{params, diurnal()};
   Rng rng{3};
   const auto truth = constant_truth(2880, 30.0, 2e6);  // 1 day at 2 Mbps
-  const auto series = collector.collect(truth, 0.0, rng);
+  const auto series = record(collector, truth, rng);
   ASSERT_EQ(series.size(), 2880u);
-  for (const auto& s : series.samples) {
+  for (const auto& s : series) {
     EXPECT_NEAR(s.down.mbps(), 2.0, 0.01);
     EXPECT_FALSE(s.bt_active);
   }
@@ -51,11 +81,11 @@ TEST(DasuCollector, MissedSamplesFoldIntoLongerIntervals) {
   const DasuCollector collector{params, diurnal()};
   Rng rng{5};
   const auto truth = constant_truth(2880, 30.0, 2e6);
-  const auto series = collector.collect(truth, 0.0, rng);
+  const auto series = record(collector, truth, rng);
   ASSERT_GT(series.size(), 100u);
   ASSERT_LT(series.size(), 2880u);
   double covered = 0.0;
-  for (const auto& s : series.samples) {
+  for (const auto& s : series) {
     covered += s.interval_s;
     // Rate over any gap still reconstructs the constant rate exactly.
     EXPECT_NEAR(s.down.mbps(), 2.0, 0.01);
@@ -70,10 +100,10 @@ TEST(DasuCollector, PeakHourBiasInSampling) {
   const DasuCollector collector{params, diurnal()};
   Rng rng{7};
   const auto truth = constant_truth(2880 * 7, 30.0, 1e6);  // one week
-  const auto series = collector.collect(truth, 0.0, rng);
+  const auto series = record(collector, truth, rng);
   std::size_t evening = 0;
   std::size_t morning = 0;
-  for (const auto& s : series.samples) {
+  for (const auto& s : series) {
     const double hour = SimClock::hour_of_day(s.time);
     if (hour >= 19 && hour < 23) ++evening;
     if (hour >= 5 && hour < 9) ++morning;
@@ -90,8 +120,8 @@ TEST(DasuCollector, CountersSurviveWrap) {
   Rng rng{9};
   // 50 Mbps for a day: ~540 GB, dozens of 32-bit wraps.
   const auto truth = constant_truth(2880, 30.0, 50e6);
-  const auto series = collector.collect(truth, 0.0, rng);
-  for (const auto& s : series.samples) {
+  const auto series = record(collector, truth, rng);
+  for (const auto& s : series) {
     EXPECT_NEAR(s.down.mbps(), 50.0, 0.5);
   }
 }
@@ -103,10 +133,10 @@ TEST(DasuCollector, FlagsBitTorrentPeriods) {
   const DasuCollector collector{params, diurnal()};
   Rng rng{11};
   const auto truth = constant_truth(100, 30.0, 1e6, /*bt_from_bin=*/50);
-  const auto series = collector.collect(truth, 0.0, rng);
+  const auto series = record(collector, truth, rng);
   ASSERT_EQ(series.size(), 100u);
   for (std::size_t i = 0; i < series.size(); ++i) {
-    EXPECT_EQ(series.samples[i].bt_active, i >= 50) << i;
+    EXPECT_EQ(series[i].bt_active, i >= 50) << i;
   }
 }
 
@@ -116,7 +146,7 @@ TEST(DasuCollector, TotalSampleLossYieldsEmptySeries) {
   params.sample_loss = 1.0;  // host is up but every poll is dropped
   const DasuCollector collector{params, diurnal()};
   Rng rng{13};
-  const auto series = collector.collect(constant_truth(100, 30.0, 1e6), 0.0, rng);
+  const auto series = record(collector, constant_truth(100, 30.0, 1e6), rng);
   EXPECT_EQ(series.size(), 0u);
 }
 
@@ -127,75 +157,21 @@ TEST(DasuCollector, ZeroAvailabilityFloorFollowsDiurnalOnly) {
   const DasuCollector collector{params, diurnal()};
   Rng rng{15};
   const auto truth = constant_truth(2880 * 7, 30.0, 1e6);  // one week
-  const auto series = collector.collect(truth, 0.0, rng);
+  const auto series = record(collector, truth, rng);
   ASSERT_GT(series.size(), 0u);
   ASSERT_LT(series.size(), truth.bins());
   // Sparse sampling must not distort the reconstructed rate.
-  for (const auto& s : series.samples) {
+  for (const auto& s : series) {
     EXPECT_NEAR(s.down.mbps(), 1.0, 0.01);
-  }
-}
-
-/// Bursty ground truth over whole days: lognormal bin volumes (large
-/// enough to wrap a 32-bit counter within the window), and, when `bt`,
-/// BitTorrent activity in about a third of the bins.
-netsim::BinnedUsage random_truth(Rng& rng, std::size_t bins, bool bt) {
-  netsim::BinnedUsage truth;
-  truth.start = std::floor(rng.uniform(0.0, 3.0 * 364.0)) * kDay;
-  truth.bin_width_s = 30.0;
-  for (std::size_t i = 0; i < bins; ++i) {
-    truth.down_bytes.push_back(rng.bernoulli(0.2) ? 0.0 : rng.lognormal(15.0, 2.0));
-    truth.up_bytes.push_back(rng.lognormal(12.0, 1.5));
-    truth.bt_active_s.push_back(bt && rng.bernoulli(0.3) ? rng.uniform(1.0, 30.0) : 0.0);
-  }
-  return truth;
-}
-
-void expect_same_summary(const UsageSummary& a, const UsageSummary& b) {
-  EXPECT_EQ(a.mean_down.bps(), b.mean_down.bps());
-  EXPECT_EQ(a.peak_down.bps(), b.peak_down.bps());
-  EXPECT_EQ(a.mean_down_no_bt.bps(), b.mean_down_no_bt.bps());
-  EXPECT_EQ(a.peak_down_no_bt.bps(), b.peak_down_no_bt.bps());
-  EXPECT_EQ(a.mean_up.bps(), b.mean_up.bps());
-  EXPECT_EQ(a.peak_up.bps(), b.peak_up.bps());
-  EXPECT_EQ(a.samples, b.samples);
-  EXPECT_EQ(a.samples_no_bt, b.samples_no_bt);
-}
-
-TEST(DasuCollector, FusedSummaryEqualsSummarizedSeries) {
-  // collect_summary must make the same draws and produce the same fields
-  // as summarize(collect(...)), for both counter kinds and with and
-  // without BitTorrent, while one scratch is reused across households.
-  SummaryColumns scratch;
-  for (const double upnp_share : {0.0, 1.0}) {
-    DasuCollectorParams params;
-    params.upnp_share = upnp_share;
-    const DasuCollector collector{params, diurnal()};
-    for (const bool bt : {false, true}) {
-      for (std::uint64_t seed = 1; seed <= 50; ++seed) {
-        Rng truth_rng{seed * 7919 + (bt ? 1 : 0)};
-        const auto truth = random_truth(truth_rng, 200 + 37 * seed, bt);
-        const double phase = truth_rng.normal(0.0, 1.5);
-        Rng a{seed};
-        Rng b{seed};
-        const auto series = collector.collect(truth, phase, a);
-        const auto fused = collector.collect_summary(truth, phase, b, scratch);
-        expect_same_summary(fused, summarize(series));
-        EXPECT_EQ(a.next_u64(), b.next_u64()) << "draw counts differ, seed " << seed;
-        if (bt) {
-          EXPECT_LT(fused.samples_no_bt, fused.samples);
-        }
-      }
-    }
   }
 }
 
 TEST(GatewayCollector, AggregatesHourly) {
   const GatewayCollector collector;
   const auto truth = constant_truth(2880, 30.0, 4e6);  // 1 day at 4 Mbps
-  const auto series = collector.collect(truth);
+  const auto series = record(collector, truth);
   ASSERT_EQ(series.size(), 24u);
-  for (const auto& s : series.samples) {
+  for (const auto& s : series) {
     EXPECT_NEAR(s.down.mbps(), 4.0, 1e-9);
     EXPECT_DOUBLE_EQ(s.interval_s, 3600.0);
     EXPECT_FALSE(s.bt_active);  // gateways cannot see applications
@@ -205,11 +181,11 @@ TEST(GatewayCollector, AggregatesHourly) {
 TEST(GatewayCollector, HandlesPartialTrailingWindow) {
   const GatewayCollector collector;
   const auto truth = constant_truth(130, 30.0, 4e6);  // 65 minutes
-  const auto series = collector.collect(truth);
+  const auto series = record(collector, truth);
   ASSERT_EQ(series.size(), 2u);
-  EXPECT_DOUBLE_EQ(series.samples[0].interval_s, 3600.0);
-  EXPECT_DOUBLE_EQ(series.samples[1].interval_s, 300.0);
-  EXPECT_NEAR(series.samples[1].down.mbps(), 4.0, 1e-9);
+  EXPECT_DOUBLE_EQ(series[0].interval_s, 3600.0);
+  EXPECT_DOUBLE_EQ(series[1].interval_s, 300.0);
+  EXPECT_NEAR(series[1].down.mbps(), 4.0, 1e-9);
 }
 
 TEST(GatewayCollector, ZeroBinWindowYieldsEmptySeries) {
@@ -217,19 +193,18 @@ TEST(GatewayCollector, ZeroBinWindowYieldsEmptySeries) {
   netsim::BinnedUsage truth;
   truth.start = 0.0;
   truth.bin_width_s = 30.0;
-  const auto series = collector.collect(truth);
+  const auto series = record(collector, truth);
   EXPECT_EQ(series.size(), 0u);
-  EXPECT_EQ(summarize(series).samples, 0u);
 }
 
 TEST(GatewayCollector, ConservesBytes) {
   const GatewayCollector collector;
   const auto truth = constant_truth(1000, 30.0, 3.3e6);
-  const auto series = collector.collect(truth);
+  const auto series = record(collector, truth);
   const double truth_total =
       std::accumulate(truth.down_bytes.begin(), truth.down_bytes.end(), 0.0);
   double series_total = 0.0;
-  for (const auto& s : series.samples) {
+  for (const auto& s : series) {
     series_total += s.down.bytes_per_sec() * s.interval_s;
   }
   EXPECT_NEAR(series_total, truth_total, 1.0);

@@ -110,14 +110,23 @@ TEST(DiurnalSqueeze, SkipsMostEvaluationsOnA30sGrid) {
 
 // --- Dasu collector ----------------------------------------------------
 
+/// One Dasu sample as the collector hands it to its sink.
+struct DasuSample {
+  SimTime time{0.0};
+  double interval_s{0.0};
+  Rate down;
+  Rate up;
+  bool bt_active{false};
+};
+
 /// The Dasu sampling loop as it reads with the activity evaluated at
 /// every bin boundary.
-measurement::UsageSeries reference_collect(const measurement::DasuCollectorParams& p,
-                                           const netsim::DiurnalModel& diurnal,
-                                           const netsim::BinnedUsage& truth,
-                                           double phase, Rng& rng) {
+std::vector<DasuSample> reference_collect(const measurement::DasuCollectorParams& p,
+                                          const netsim::DiurnalModel& diurnal,
+                                          const netsim::BinnedUsage& truth,
+                                          double phase, Rng& rng) {
   using measurement::CounterKind;
-  measurement::UsageSeries series;
+  std::vector<DasuSample> series;
   if (truth.bins() == 0) return series;
   const measurement::CounterReader counter{
       rng.bernoulli(p.upnp_share) ? CounterKind::kUpnp32 : CounterKind::kNetstat64};
@@ -140,7 +149,7 @@ measurement::UsageSeries reference_collect(const measurement::DasuCollectorParam
     const std::uint64_t down = counter.read(down_total);
     const std::uint64_t up = counter.read(up_total);
     const double interval = boundary - last_time;
-    series.samples.push_back(measurement::UsageSample{
+    series.push_back(DasuSample{
         boundary, interval,
         rate_over(
             static_cast<double>(measurement::counter_delta(last_down, down, counter.bits())),
@@ -159,7 +168,6 @@ measurement::UsageSeries reference_collect(const measurement::DasuCollectorParam
 
 TEST(DiurnalSqueeze, DasuCollectorEqualsDirectLoop) {
   Rng rng{1105};
-  measurement::SummaryColumns scratch;
   for (int trial = 0; trial < 120; ++trial) {
     const auto params = random_params(rng, trial % 2 == 0);
     const netsim::DiurnalModel diurnal{params, random_clock(rng)};
@@ -188,33 +196,26 @@ TEST(DiurnalSqueeze, DasuCollectorEqualsDirectLoop) {
     const std::uint64_t seed = rng.next_u64();
     Rng direct_rng{seed};
     Rng series_rng{seed};
-    Rng summary_rng{seed};
     const auto expected = reference_collect(cp, diurnal, truth, phase, direct_rng);
-    const auto series = collector.collect(truth, phase, series_rng);
-    const auto summary = collector.collect_summary(truth, phase, summary_rng, scratch);
+    std::vector<DasuSample> series;
+    collector.sample(truth, phase, series_rng,
+                     [&](SimTime time, double interval_s, Rate down, Rate up,
+                         bool bt_active) {
+                       series.push_back(DasuSample{time, interval_s, down, up, bt_active});
+                     });
 
     ASSERT_EQ(series.size(), expected.size()) << "trial " << trial;
     for (std::size_t i = 0; i < series.size(); ++i) {
-      const auto& a = series.samples[i];
-      const auto& b = expected.samples[i];
+      const auto& a = series[i];
+      const auto& b = expected[i];
       ASSERT_EQ(a.time, b.time) << "trial " << trial << " sample " << i;
       ASSERT_EQ(a.interval_s, b.interval_s);
       ASSERT_EQ(a.down.bps(), b.down.bps());
       ASSERT_EQ(a.up.bps(), b.up.bps());
       ASSERT_EQ(a.bt_active, b.bt_active);
     }
-    const auto want = measurement::summarize(expected);
-    EXPECT_EQ(summary.samples, want.samples);
-    EXPECT_EQ(summary.samples_no_bt, want.samples_no_bt);
-    EXPECT_EQ(summary.mean_down.bps(), want.mean_down.bps());
-    EXPECT_EQ(summary.peak_down.bps(), want.peak_down.bps());
-    EXPECT_EQ(summary.mean_down_no_bt.bps(), want.mean_down_no_bt.bps());
-    EXPECT_EQ(summary.peak_down_no_bt.bps(), want.peak_down_no_bt.bps());
-    EXPECT_EQ(summary.mean_up.bps(), want.mean_up.bps());
-    EXPECT_EQ(summary.peak_up.bps(), want.peak_up.bps());
     const std::uint64_t next = direct_rng.next_u64();
     EXPECT_EQ(series_rng.next_u64(), next) << "draw counts differ, trial " << trial;
-    EXPECT_EQ(summary_rng.next_u64(), next) << "draw counts differ, trial " << trial;
   }
 }
 

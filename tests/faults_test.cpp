@@ -1,6 +1,6 @@
 // The fault-injection layer's contract: everything about a FaultPlan is
 // deterministic in (seed, stream id), knobs never perturb each other's
-// randomness, and the damage it does to series and CSV text is exactly
+// randomness, and the damage it does to samples and CSV text is exactly
 // the documented damage.
 #include "faults/fault_plan.h"
 
@@ -108,7 +108,6 @@ TEST(Materialize, DeterministicPerStream) {
     EXPECT_EQ(a.dropped[i].begin, b.dropped[i].begin);
     EXPECT_EQ(a.dropped[i].end, b.dropped[i].end);
   }
-  EXPECT_EQ(a.clock_skew_s, b.clock_skew_s);
   EXPECT_EQ(a.reset_time, b.reset_time);
   EXPECT_EQ(a.spurious_wrap_time, b.spurious_wrap_time);
   EXPECT_EQ(a.fail_household, b.fail_household);
@@ -119,7 +118,7 @@ TEST(Materialize, DeterministicPerStream) {
     const auto other = materialize(plan, 1000 + s, 0.0, 7 * kDay);
     any_different = other.fail_household != a.fail_household ||
                     other.dropped.size() != a.dropped.size() ||
-                    other.clock_skew_s != a.clock_skew_s;
+                    other.reset_time != a.reset_time;
   }
   EXPECT_TRUE(any_different);
 }
@@ -144,43 +143,50 @@ TEST(Materialize, KnobsDrawIndependently) {
 
 TEST(Materialize, EmptyPlanProducesNoFaults) {
   const auto hf = materialize(FaultPlan{}, 5, 0.0, kDay);
-  EXPECT_TRUE(hf.empty());
   EXPECT_TRUE(hf.dropped.empty());
+  EXPECT_FALSE(hf.reset_time.has_value());
+  EXPECT_FALSE(hf.spurious_wrap_time.has_value());
   EXPECT_FALSE(hf.fail_household);
 }
 
-TEST(ApplyFaults, DropsZeroesSpikesAndSkews) {
-  measurement::UsageSeries series;
-  for (int i = 0; i < 10; ++i) {
-    measurement::UsageSample s;
-    s.time = i * 30.0;
-    s.interval_s = 30.0;
-    s.down = Rate::from_mbps(1.0);
-    s.up = Rate::from_kbps(100.0);
-    series.samples.push_back(s);
-  }
-
+TEST(FaultedSink, DropsZeroesAndSpikes) {
+  struct Sample {
+    SimTime time;
+    Rate down;
+    Rate up;
+  };
+  std::vector<Sample> got;
   HouseholdFaults hf;
   hf.dropped.push_back({60.0, 120.0});  // samples at t=60, t=90
-  hf.reset_time = 155.0;                // inside the t=150 sample
-  hf.spurious_wrap_time = 215.0;        // inside the t=210 sample
-  hf.clock_skew_s = 10.0;
-  measurement::apply_faults(series, hf);
+  hf.reset_time = 155.0;                // in [150, 180): the t=150 sample
+  hf.spurious_wrap_time = 215.0;        // in [210, 240): the t=210 sample
+  const auto sink = measurement::faulted_sink(
+      hf, [&](SimTime time, double, Rate down, Rate up, bool) {
+        got.push_back(Sample{time, down, up});
+      });
+  for (int i = 0; i < 10; ++i) {
+    sink(i * 30.0, 30.0, Rate::from_mbps(1.0), Rate::from_kbps(100.0), false);
+  }
 
-  ASSERT_EQ(series.size(), 8u);
-  // All surviving timestamps carry the skew.
-  EXPECT_DOUBLE_EQ(series.samples[0].time, 10.0);
-  // The reset sample (originally t=150) reports zero traffic.
-  const auto& reset_sample = series.samples[3];
-  EXPECT_DOUBLE_EQ(reset_sample.time, 160.0);
+  ASSERT_EQ(got.size(), 8u);
+  EXPECT_DOUBLE_EQ(got[1].time, 30.0);
+  EXPECT_DOUBLE_EQ(got[2].time, 120.0);
+  // The reset sample reports zero traffic.
+  const auto& reset_sample = got[3];
+  EXPECT_DOUBLE_EQ(reset_sample.time, 150.0);
   EXPECT_DOUBLE_EQ(reset_sample.down.bps(), 0.0);
   EXPECT_DOUBLE_EQ(reset_sample.up.bps(), 0.0);
   // The wrap sample gains exactly 2^32 bytes over its interval.
-  const auto& wrap_sample = series.samples[5];
-  EXPECT_DOUBLE_EQ(wrap_sample.time, 220.0);
+  const auto& wrap_sample = got[5];
+  EXPECT_DOUBLE_EQ(wrap_sample.time, 210.0);
   const double expected =
       Rate::from_mbps(1.0).bps() + rate_over(4294967296.0, 30.0).bps();
   EXPECT_DOUBLE_EQ(wrap_sample.down.bps(), expected);
+  EXPECT_DOUBLE_EQ(wrap_sample.up.bps(), Rate::from_kbps(100.0).bps());
+  // Every other survivor passes through untouched.
+  for (const std::size_t i : {0u, 1u, 2u, 4u, 6u, 7u}) {
+    EXPECT_DOUBLE_EQ(got[i].down.bps(), Rate::from_mbps(1.0).bps()) << i;
+  }
 }
 
 TEST(CorruptCsv, IdentityWithoutCsvFaults) {

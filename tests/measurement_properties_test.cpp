@@ -8,6 +8,7 @@
 #include "core/rng.h"
 #include "measurement/collectors.h"
 #include "measurement/ndt.h"
+#include "measurement/usage.h"
 #include "netsim/fluid.h"
 #include "netsim/workload.h"
 
@@ -36,6 +37,16 @@ netsim::BinnedUsage simulate_day(const netsim::AccessLink& l, std::uint64_t seed
   return sim.run(flows, 0.0, 2880, 30.0);
 }
 
+/// A sink that adds up the down bytes a collector's samples account for.
+struct DownBytes {
+  double total{0.0};
+  std::size_t samples{0};
+  void operator()(SimTime, double interval_s, Rate down, Rate, bool) {
+    total += down.bytes_per_sec() * interval_s;
+    ++samples;
+  }
+};
+
 class CollectorFidelity : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(CollectorFidelity, DasuSeriesConservesBytesOverCoveredIntervals) {
@@ -46,22 +57,20 @@ TEST_P(CollectorFidelity, DasuSeriesConservesBytesOverCoveredIntervals) {
   const SimClock clock{2011};
   const DasuCollector collector{params, netsim::DiurnalModel{netsim::DiurnalParams{}, clock}};
   Rng rng{GetParam() + 99};
-  const auto series = collector.collect(truth, 0.0, rng);
+  DownBytes series;
+  collector.sample(truth, 0.0, rng, series);
 
   const double truth_total =
       std::accumulate(truth.down_bytes.begin(), truth.down_bytes.end(), 0.0);
-  double series_total = 0.0;
-  for (const auto& s : series.samples) {
-    series_total += s.down.bytes_per_sec() * s.interval_s;
-  }
   // Counter quantization rounds each reading to whole bytes.
-  EXPECT_NEAR(series_total, truth_total, static_cast<double>(series.size()) + 10.0);
+  EXPECT_NEAR(series.total, truth_total, static_cast<double>(series.samples) + 10.0);
 }
 
 TEST_P(CollectorFidelity, GatewayAndDasuAgreeOnTotals) {
   const auto truth = simulate_day(link(20), GetParam());
   const GatewayCollector gateway;
-  const auto hourly = gateway.collect(truth);
+  DownBytes hourly;
+  gateway.sample(truth, hourly);
 
   DasuCollectorParams params;
   params.availability_floor = 1.0;
@@ -69,14 +78,9 @@ TEST_P(CollectorFidelity, GatewayAndDasuAgreeOnTotals) {
   const SimClock clock{2011};
   const DasuCollector dasu{params, netsim::DiurnalModel{netsim::DiurnalParams{}, clock}};
   Rng rng{GetParam()};
-  const auto fine = dasu.collect(truth, 0.0, rng);
-
-  const auto total = [](const UsageSeries& s) {
-    double t = 0.0;
-    for (const auto& x : s.samples) t += x.down.bytes_per_sec() * x.interval_s;
-    return t;
-  };
-  EXPECT_NEAR(total(hourly), total(fine), total(hourly) * 0.001 + 5000.0);
+  DownBytes fine;
+  dasu.sample(truth, 0.0, rng, fine);
+  EXPECT_NEAR(hourly.total, fine.total, hourly.total * 0.001 + 5000.0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CollectorFidelity, ::testing::Values(1, 2, 3, 4, 5));
@@ -118,8 +122,12 @@ TEST(BtFlagConsistency, CollectorsFlagExactlyTheBtWindows) {
   const SimClock clock{2011};
   const DasuCollector collector{params, netsim::DiurnalModel{netsim::DiurnalParams{}, clock}};
   Rng rng{11};
-  const auto series = collector.collect(truth, 0.0, rng);
-  const auto summary = summarize(series);
+  SummaryColumns columns;
+  collector.sample(truth, 0.0, rng,
+                   [&](SimTime, double, Rate down, Rate up, bool bt_active) {
+                     columns.add(down, up, bt_active);
+                   });
+  const auto summary = summarize(columns);
   EXPECT_NEAR(summary.bt_share(), 0.5, 0.01);
   EXPECT_LT(summary.mean_down_no_bt.bps(), summary.mean_down.bps());
   EXPECT_LT(summary.peak_down_no_bt.bps(), summary.peak_down.bps());

@@ -6,10 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -160,27 +162,82 @@ TEST(ParallelPipeline, ByteIdenticalAcrossThreadCounts) {
   EXPECT_TRUE(clean[1].upgrades.empty());
 }
 
+/// One collector sample, as a recording sink keeps it.
+struct Sample {
+  SimTime time{0.0};
+  double interval_s{0.0};
+  Rate down;
+  Rate up;
+  bool bt_active{false};
+};
+
+/// simulate_household's chain written out with the samples kept as a
+/// series: simulate the truth, record every sample, then edit the series
+/// per the household's fault schedule (drop, then zero a reset, then
+/// spike a wrap) and summarize what is left.
+measurement::UsageSummary summarize_materialized_series(
+    const PipelineFixture& fx, const faults::FaultPlan* plan, const HouseholdTask& task,
+    Rng& rng) {
+  const SimTime t1 = task.t0 + static_cast<double>(task.bins) * task.bin_width_s;
+  const auto flows = fx.workload.generate(task.workload, task.link, task.t0, t1, rng);
+  const netsim::FluidLinkSimulator sim{task.link, netsim::TcpModel{}};
+  const auto truth = sim.run(flows, task.t0, task.bins, task.bin_width_s);
+  std::vector<Sample> series;
+  const auto record = [&](SimTime time, double interval_s, Rate down, Rate up,
+                          bool bt_active) {
+    series.push_back(Sample{time, interval_s, down, up, bt_active});
+  };
+  if (task.collector == CollectorKind::kGateway) {
+    fx.gateway.sample(truth, record);
+  } else {
+    fx.dasu.sample(truth, task.workload.phase_shift_hours, rng, record);
+  }
+
+  measurement::SummaryColumns columns;
+  const auto hf = plan != nullptr ? faults::materialize(*plan, task.stream_id, task.t0, t1)
+                                  : faults::HouseholdFaults{};
+  std::erase_if(series, [&](const Sample& x) { return hf.in_dropped(x.time); });
+  for (auto& x : series) {
+    const auto hits = [&](const std::optional<double>& at) {
+      return at && *at >= x.time && *at < x.time + x.interval_s;
+    };
+    if (hits(hf.reset_time)) x.down = x.up = Rate{};
+    if (hits(hf.spurious_wrap_time)) {
+      x.down = Rate::from_bps(x.down.bps() + rate_over(4294967296.0, x.interval_s).bps());
+    }
+    columns.add(x.down, x.up, x.bt_active);
+  }
+  return measurement::summarize(columns);
+}
+
 TEST(ParallelPipeline, FusedSummaryEqualsMaterializedSeries) {
-  // Without a fault plan a Dasu household is summarized as it is
-  // sampled. A plan that only mangles CSV rows is active, so the series
-  // is materialized and then summarized, yet it leaves every sample
-  // untouched: both paths must agree field for field and in RNG draws.
+  // simulate_household summarizes each sample as it is taken, behind the
+  // household's fault schedule. Keeping the whole series and editing it
+  // afterwards must give the same summary and make the same draws, for
+  // both collectors, with no plan, a plan that only mangles CSV rows, and
+  // a plan that drops, zeroes and spikes samples.
   const PipelineFixture fx;
   const auto tasks = fx.make_tasks(60);
   faults::FaultPlan csv_only;
   csv_only.row_duplicate_probability = 0.5;
+  const faults::FaultPlan series = series_faults();
   measurement::HouseholdWorkspace ws;
-  for (std::size_t i = 0; i < tasks.size(); ++i) {
-    if (tasks[i].collector != CollectorKind::kDasu) continue;
-    Rng a = Rng{31}.fork(tasks[i].stream_id);
-    Rng b = a;
-    const auto fused = measurement::simulate_household(fx.kit(), tasks[i], a, &ws);
-    const auto series = measurement::simulate_household(fx.kit(&csv_only), tasks[i], b);
-    EXPECT_TRUE(fused.series.empty());
-    ASSERT_FALSE(series.series.empty());
-    EXPECT_EQ(fused.summary, series.summary) << i;
-    EXPECT_EQ(a.next_u64(), b.next_u64()) << i;
+  std::vector<measurement::UsageSummary> clean;
+  std::size_t edited = 0;
+  const std::array<const faults::FaultPlan*, 3> plans{nullptr, &csv_only, &series};
+  for (const faults::FaultPlan* plan : plans) {
+    for (std::size_t i = 0; i < tasks.size(); ++i) {
+      Rng a = Rng{31}.fork(tasks[i].stream_id);
+      Rng b = a;
+      const auto fused = measurement::simulate_household(fx.kit(plan), tasks[i], a, ws);
+      const auto want = summarize_materialized_series(fx, plan, tasks[i], b);
+      EXPECT_EQ(fused, want) << i;
+      EXPECT_EQ(a.next_u64(), b.next_u64()) << i;
+      if (plan == nullptr) clean.push_back(fused);
+      if (plan == &series && !(fused == clean[i])) ++edited;
+    }
   }
+  EXPECT_GT(edited, 10u);  // the series plan really changed summaries
 }
 
 TEST(ParallelPipeline, ByteIdenticalUnderAdversarialCostSkew) {

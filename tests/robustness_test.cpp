@@ -68,9 +68,10 @@ struct RobustnessFixture {
 TEST(Robustness, WithoutIsolationInjectedFailureIsFatal) {
   RobustnessFixture fx;
   fx.plan = faults::FaultPlan::parse("fail=1.0");
+  measurement::HouseholdWorkspace ws;
   for (const HouseholdTask& task : fx.make_tasks(4)) {
     Rng rng = Rng{2014}.fork(task.stream_id);
-    EXPECT_THROW((void)measurement::simulate_household(fx.kit(), task, rng),
+    EXPECT_THROW((void)measurement::simulate_household(fx.kit(), task, rng, ws),
                  InjectedFault);
   }
 }

@@ -1,12 +1,15 @@
 #!/usr/bin/env bash
 # Source scan: calls that must not appear in product code (src/ and
-# tools/). Each rule is an extended regex and the reason it is banned; the
-# test prints every offending line and fails.
+# tools/). Each rule is an extended regex, the directories it covers and
+# the reason it is banned; the test prints every offending line and fails.
 #
 # - Number parsing of untrusted text goes through core/parse.h's
 #   parse_number. std::sto*, strto* and ato* skip leading blanks, accept
 #   '+', hex and trailing garbage (or report it only through an
 #   out-parameter), and wrap a negative into an unsigned result.
+# - No std::unordered_* container under src/: its iteration order is the
+#   standard library's, so any output that walks one would differ between
+#   libraries. Use std::map, or a sorted vector.
 # - No statement may draw from an Rng twice. Two draws in one argument
 #   list, or as the operands of one operator, happen in an unspecified
 #   order, so the output would depend on the compiler. A draw is a call
@@ -23,14 +26,19 @@ cd "$root"
 
 rules=(
   '\b(sto(i|l|ll|ul|ull|f|d|ld)|strto(l|ll|ul|ull|f|d|ld|imax|umax)|ato(i|l|ll|f))[[:space:]]*\('
+  'src tools'
   'parse numbers with parse_number (core/parse.h)'
+  'std::unordered_'
+  'src'
+  'iteration order of std::unordered_* is the library'"'"'s; use std::map or a sorted vector'
 )
 
 status=0
-for ((i = 0; i < ${#rules[@]}; i += 2)); do
+for ((i = 0; i < ${#rules[@]}; i += 3)); do
   pattern=${rules[i]}
-  reason=${rules[i + 1]}
-  if hits=$(grep -rnE --include='*.h' --include='*.cpp' "$pattern" src tools); then
+  read -ra dirs <<<"${rules[i + 1]}"
+  reason=${rules[i + 2]}
+  if hits=$(grep -rnE --include='*.h' --include='*.cpp' "$pattern" "${dirs[@]}"); then
     echo "FAIL: $reason:"
     sed 's/^/  /' <<<"$hits"
     status=1

@@ -8,7 +8,8 @@
 #      stamped with an older format version, fails with a typed error and a
 #      non-zero exit, never a crash; cat on a FIFO fails with an I/O error
 #      (not mappable), not a format error.
-#   3. cache ls / rm KEY / rm all manage entries as advertised.
+#   3. cache ls / rm KEY / rm all manage entries as advertised, a
+#      whole-dataset file of an older build included.
 set -u
 
 BBLAB=$1
@@ -102,9 +103,15 @@ key=$("$BBLAB" cache ls | head -n 1 | cut -d' ' -f1)
 "$BBLAB" cache rm "$key" >/dev/null 2>&1 && fail "cache rm of absent key succeeded"
 "$BBLAB" cache rm not-a-key >/dev/null 2>&1 && fail "cache rm accepted a malformed key"
 "$BBLAB" generate $ARGS --cache --out "$WORK/repop" >/dev/null 2>&1
+# A whole-dataset file as builds before per-shard segments wrote it.
+old_file="$BBLAB_CACHE_DIR/objects/ab/cdef0123456789abcdef0123456789.bbs"
+mkdir -p "$(dirname "$old_file")" && echo "old" >"$old_file"
+"$BBLAB" cache ls | grep -q "^abcdef0123456789abcdef0123456789 " \
+  || fail "cache ls does not list a whole-dataset file"
 "$BBLAB" cache rm all >/dev/null || fail "cache rm all"
 entries=$("$BBLAB" cache ls | sed '$d' | wc -l)
 [ "$entries" -eq 0 ] || fail "cache not empty after rm all"
+[ -e "$old_file" ] && fail "cache rm all left a whole-dataset file"
 
 if [ "$fails" -ne 0 ]; then
   exit 1

@@ -520,6 +520,49 @@ TEST_F(CacheTest, ListRemoveClear) {
   EXPECT_TRUE(cache.list().empty());
 }
 
+TEST_F(CacheTest, WholeDatasetFilesOfOlderBuildsAreListedAndRemoved) {
+  // Builds before per-shard segments kept a run as one whole-dataset
+  // file, objects/<2 hex>/<30 hex>.bbs. Nothing reads it any more, but
+  // ls must count it and rm and trim must remove it.
+  const ArtifactCache cache{root_};
+  const auto plant = [&](const Fingerprint& key) {
+    auto path = cache.run_dir(key);
+    path += ".bbs";
+    std::filesystem::create_directories(path.parent_path());
+    std::ofstream{path, std::ios::binary} << std::string(100, 'x');
+    return path;
+  };
+  const auto alone = dataset_fingerprint(config(77), world_);
+  const auto beside = dataset_fingerprint(config(78), world_);
+  const auto alone_file = plant(alone);
+  const auto beside_file = plant(beside);
+  cache.publish(config(78), world_, spec(), output());
+
+  auto entries = cache.list();
+  ASSERT_EQ(entries.size(), 2u);  // one entry per key, not per file
+  for (const auto& e : entries) {
+    if (e.key == alone) {
+      EXPECT_EQ(e.path, alone_file);
+      EXPECT_EQ(e.size_bytes, 100u);
+    } else {
+      EXPECT_EQ(e.key, beside);
+      EXPECT_EQ(e.path, cache.run_dir(beside));
+      EXPECT_GT(e.size_bytes, 100u);  // the segment and the old file
+    }
+  }
+
+  EXPECT_TRUE(cache.remove(alone));
+  EXPECT_FALSE(std::filesystem::exists(alone_file));
+  EXPECT_FALSE(cache.remove(alone));
+  EXPECT_EQ(cache.clear(), 1u);
+  EXPECT_FALSE(std::filesystem::exists(beside_file));
+  EXPECT_TRUE(cache.list().empty());
+
+  plant(alone);
+  EXPECT_EQ(cache.trim(0), 1u);
+  EXPECT_FALSE(std::filesystem::exists(alone_file));
+}
+
 TEST_F(CacheTest, TmpTtlOverrideMustBeAWholeNonNegativeNumber) {
   // A writer's temp file, ten seconds old. Only a finite, non-negative
   // whole-token TTL may shorten the 3600 s default enough to sweep it: a

@@ -7,27 +7,25 @@
 namespace bblab::measurement {
 namespace {
 
-UsageSample sample(double down_kbps, bool bt = false) {
-  UsageSample s;
-  s.down = Rate::from_kbps(down_kbps);
-  s.up = Rate::from_kbps(down_kbps / 10);
-  s.bt_active = bt;
-  return s;
+/// Append one sample: `down_kbps` down, a tenth of it up.
+void add(SummaryColumns& columns, double down_kbps, bool bt = false) {
+  columns.add(Rate::from_kbps(down_kbps), Rate::from_kbps(down_kbps / 10), bt);
 }
 
 TEST(Summarize, EmptySeries) {
-  const auto s = summarize(UsageSeries{});
+  SummaryColumns columns;
+  const auto s = summarize(columns);
   EXPECT_EQ(s.samples, 0u);
   EXPECT_DOUBLE_EQ(s.mean_down.bps(), 0.0);
   EXPECT_DOUBLE_EQ(s.bt_share(), 0.0);
 }
 
 TEST(Summarize, MeanAndPeak) {
-  UsageSeries series;
+  SummaryColumns columns;
   for (int i = 1; i <= 100; ++i) {
-    series.samples.push_back(sample(static_cast<double>(i)));
+    add(columns, static_cast<double>(i));
   }
-  const auto s = summarize(series);
+  const auto s = summarize(columns);
   EXPECT_EQ(s.samples, 100u);
   EXPECT_NEAR(s.mean_down.kbps(), 50.5, 1e-9);
   // p95 of 1..100 with type-7 interpolation: 95.05.
@@ -36,11 +34,11 @@ TEST(Summarize, MeanAndPeak) {
 }
 
 TEST(Summarize, BtFilteringSeparatesPopulations) {
-  UsageSeries series;
+  SummaryColumns columns;
   // 50 quiet non-BT samples at 10 kbps, 50 BT samples at 1000 kbps.
-  for (int i = 0; i < 50; ++i) series.samples.push_back(sample(10.0, false));
-  for (int i = 0; i < 50; ++i) series.samples.push_back(sample(1000.0, true));
-  const auto s = summarize(series);
+  for (int i = 0; i < 50; ++i) add(columns, 10.0, false);
+  for (int i = 0; i < 50; ++i) add(columns, 1000.0, true);
+  const auto s = summarize(columns);
   EXPECT_EQ(s.samples_no_bt, 50u);
   EXPECT_NEAR(s.bt_share(), 0.5, 1e-12);
   EXPECT_NEAR(s.mean_down.kbps(), 505.0, 1e-9);
@@ -49,21 +47,21 @@ TEST(Summarize, BtFilteringSeparatesPopulations) {
 }
 
 TEST(Summarize, AllBtLeavesNoBtZero) {
-  UsageSeries series;
-  for (int i = 0; i < 10; ++i) series.samples.push_back(sample(100.0, true));
-  const auto s = summarize(series);
+  SummaryColumns columns;
+  for (int i = 0; i < 10; ++i) add(columns, 100.0, true);
+  const auto s = summarize(columns);
   EXPECT_EQ(s.samples_no_bt, 0u);
   EXPECT_DOUBLE_EQ(s.mean_down_no_bt.bps(), 0.0);
   EXPECT_DOUBLE_EQ(s.bt_share(), 1.0);
 }
 
 TEST(Summarize, PeakAtLeastMean) {
-  UsageSeries series;
+  SummaryColumns columns;
   Rng rng{3};
   for (int i = 0; i < 500; ++i) {
-    series.samples.push_back(sample(rng.lognormal(3.0, 1.5)));
+    add(columns, rng.lognormal(3.0, 1.5));
   }
-  const auto s = summarize(series);
+  const auto s = summarize(columns);
   EXPECT_GE(s.peak_down.bps(), s.mean_down.bps());
   EXPECT_GE(s.peak_up.bps(), s.mean_up.bps());
 }
