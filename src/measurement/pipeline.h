@@ -8,9 +8,7 @@
 // substream per household, so output is identical at any thread count.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
-#include <limits>
 #include <optional>
 #include <vector>
 
@@ -85,37 +83,19 @@ struct PipelineToolkit {
 /// "Deterministic fault injection").
 template <typename Next>
 [[nodiscard]] auto faulted_sink(const faults::HouseholdFaults& household, Next next) {
-  // A sample can meet a fault only if time + interval_s > lo and
-  // time <= hi, the earliest and latest fault times. Most households have
-  // none (lo = +inf), so their samples pay one comparison; checking every
-  // fault per sample measurably slowed the Dasu loop.
-  double lo = std::numeric_limits<double>::infinity();
-  double hi = -lo;
-  for (const auto& window : household.dropped) {
-    lo = std::min(lo, window.begin);
-    hi = std::max(hi, window.end);
-  }
-  for (const auto& at : {household.reset_time, household.spurious_wrap_time}) {
-    if (at) {
-      lo = std::min(lo, *at);
-      hi = std::max(hi, *at);
+  return [&household, next](SimTime time, double interval_s, Rate down, Rate up,
+                            bool bt_active) {
+    if (household.in_dropped(time)) return;
+    const auto hits = [&](const std::optional<double>& at) {
+      return at && *at >= time && *at < time + interval_s;
+    };
+    if (hits(household.reset_time)) {
+      down = Rate{};
+      up = Rate{};
     }
-  }
-  return [&household, lo, hi, next](SimTime time, double interval_s, Rate down, Rate up,
-                                    bool bt_active) {
-    if (time + interval_s > lo && time <= hi) {
-      if (household.in_dropped(time)) return;
-      const auto hits = [&](const std::optional<double>& at) {
-        return at && *at >= time && *at < time + interval_s;
-      };
-      if (hits(household.reset_time)) {
-        down = Rate{};
-        up = Rate{};
-      }
-      if (hits(household.spurious_wrap_time)) {
-        constexpr double kWrapBytes = 4294967296.0;  // 2^32: one full 32-bit wrap
-        down = Rate::from_bps(down.bps() + rate_over(kWrapBytes, interval_s).bps());
-      }
+    if (hits(household.spurious_wrap_time)) {
+      constexpr double kWrapBytes = 4294967296.0;  // 2^32: one full 32-bit wrap
+      down = Rate::from_bps(down.bps() + rate_over(kWrapBytes, interval_s).bps());
     }
     next(time, interval_s, down, up, bt_active);
   };
